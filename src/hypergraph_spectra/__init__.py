@@ -31,7 +31,6 @@ from .polynomials import (
     RootSet,
     UniPoly,
     enumerate_monomials,
-    interpolate,
     numeric_roots,
     poly_residual,
     square_free_decomposition,

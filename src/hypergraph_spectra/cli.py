@@ -158,8 +158,7 @@ def _cmd_gen(ns) -> int:
 
 def _cmd_charpoly(ns) -> int:
     h = _load(ns)
-    result = charpoly(h, method=ns.method, threads=ns.threads,
-                      eval_points=ns.eval_points,
+    result = charpoly(h, threads=ns.threads,
                       max_matrix_size=ns.max_matrix_size)
     timings = {key: round(val, 6) if isinstance(val, float) else val
                for key, val in result.timings.items()}
@@ -366,10 +365,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("charpoly", help="exact characteristic polynomial")
     _add_input_flags(p)
-    p.add_argument("--method", default="auto",
-                   choices=("auto", "interpolation", "modular"))
     p.add_argument("--threads", type=int, default=1)
-    p.add_argument("--eval-points", type=int, default=None)
     p.add_argument("--max-matrix-size", type=int, default=4000)
     p.set_defaults(fn=_cmd_charpoly)
 

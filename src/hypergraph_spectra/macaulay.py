@@ -8,10 +8,10 @@ lambda*I - N for a 0/1 integer matrix N, the quotient by the minor on rows
 whose monomial has two or more coordinates >= k-1 is exact, and the result
 is the monic characteristic polynomial of degree n(k-1)^(n-1).
 
-Two exact determinant paths are provided: evaluation at integer points with
-fraction-free elimination followed by interpolation, and a modular path
-(characteristic polynomial of N per prime, recombined by CRT with a held-out
-verification prime).  The switch is based on a coefficient-size prediction.
+Both determinants are computed by one exact engine: the characteristic
+polynomial of the 0/1 matrix is taken modulo enough primes to cover a
+coefficient-size bound, recombined by CRT, and checked against a held-out
+verification prime.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import GuardError
 from .hypergraphs import EigenSystem, Hypergraph
-from .polynomials import UniPoly, enumerate_monomials, interpolate
+from .polynomials import UniPoly, enumerate_monomials
 
 __all__ = [
     "CharPolyResult",
@@ -35,11 +35,6 @@ __all__ = [
     "int_determinant",
     "predicted_coefficient_bits",
 ]
-
-# Interpolation with big-int elimination is only competitive on small
-# matrices; beyond this size the modular path wins regardless of predicted
-# coefficient growth.
-_INTERPOLATION_SIZE_CAP = 160
 
 _DEFAULT_MATRIX_GUARD = 4000
 
@@ -100,7 +95,9 @@ def build_macaulay(system: EigenSystem, *,
             f"(guard is {max_matrix_size}); pass a larger max_matrix_size "
             "to proceed", est)
     monomials = enumerate_monomials(n, big_d)
-    assert len(monomials) == size
+    if len(monomials) != size:
+        raise ArithmeticError(
+            f"enumerated {len(monomials)} monomials, expected {size}")
     index = {m: i for i, m in enumerate(monomials)}
     classes = []
     rows = []
@@ -117,12 +114,16 @@ def build_macaulay(system: EigenSystem, *,
             for u in rest:
                 beta[u] += 1
             cols.append(index[tuple(beta)])
-        assert len(set(cols)) == len(cols)
+        if len(set(cols)) != len(cols):
+            raise ArithmeticError(f"repeated column in the row of {alpha}")
         rows.append(tuple(cols))
     mac = MacaulayMatrix(n=n, k=k, degree=big_d, monomials=tuple(monomials),
                          index=index, classes=tuple(classes), rows=tuple(rows),
                          reduced=tuple(reduced))
-    assert mac.reduced_count == n * (k - 1) ** (n - 1)
+    if mac.reduced_count != n * (k - 1) ** (n - 1):
+        raise ArithmeticError(
+            f"{mac.reduced_count} reduced rows, expected the degree "
+            f"{n * (k - 1) ** (n - 1)}")
     return mac
 
 
@@ -146,123 +147,38 @@ def predicted_coefficient_bits(size: int, max_row_sum: int) -> int:
     return int(best) + 2
 
 
-# -- exact sparse integer determinant ------------------------------------------
-
-
-def _sparse_int_det(rows) -> int:
-    """Determinant of an integer matrix given as dicts col -> value.
-
-    Fraction-free one-step elimination with Markowitz pivoting; every
-    division is checked exact.  The input rows are consumed.
-    """
-    m = len(rows)
-    if m == 0:
-        return 1
-    data = {i: dict(r) for i, r in enumerate(rows)}
-    col_count: dict = {}
-    for r in data.values():
-        for c in r:
-            col_count[c] = col_count.get(c, 0) + 1
-    active_rows = list(range(m))
-    active_cols = list(range(m))
-    sign = 1
-    prev = 1
-    while active_rows:
-        best = None
-        for i in active_rows:
-            row = data[i]
-            if not row:
-                return 0
-            rw = len(row) - 1
-            for j in row:
-                score = rw * (col_count[j] - 1)
-                if best is None or score < best[0]:
-                    best = (score, i, j)
-                    if score == 0:
-                        break
-            if best[0] == 0:
-                break
-        _, pi, pj = best
-        piv = data[pi][pj]
-        if (active_rows.index(pi) + active_cols.index(pj)) % 2:
-            sign = -sign
-        active_rows.remove(pi)
-        active_cols.remove(pj)
-        prow = data.pop(pi)
-        for c in prow:
-            col_count[c] -= 1
-        for i in active_rows:
-            row = data[i]
-            f = row.pop(pj, 0)
-            if f:
-                col_count[pj] -= 1
-                for c, v in prow.items():
-                    if c == pj:
-                        continue
-                    cur = row.get(c, 0)
-                    num = cur * piv - f * v
-                    q, rem = divmod(num, prev)
-                    assert not rem
-                    if q:
-                        if not cur:
-                            col_count[c] += 1
-                        row[c] = q
-                    elif cur:
-                        del row[c]
-                        col_count[c] -= 1
-                for c in list(row):
-                    if c not in prow:
-                        q, rem = divmod(row[c] * piv, prev)
-                        assert not rem
-                        row[c] = q
-            else:
-                for c in row:
-                    q, rem = divmod(row[c] * piv, prev)
-                    assert not rem
-                    row[c] = q
-        prev = piv
-    return sign * prev
+# -- exact integer determinant ------------------------------------------------
 
 
 def int_determinant(matrix) -> int:
-    """Exact determinant of a square integer matrix (list of rows)."""
-    rows = []
-    m = len(matrix)
-    for r in matrix:
-        if len(r) != m:
-            raise ValueError("matrix is not square")
-        rows.append({j: int(v) for j, v in enumerate(r) if v})
-    return _sparse_int_det(rows)
+    """Exact determinant of a square integer matrix (list of rows).
+
+    Fraction-free Bareiss elimination: a zero pivot is replaced by a row
+    swap, and every division is checked exact.
+    """
+    a = [[int(v) for v in r] for r in matrix]
+    m = len(a)
+    if any(len(r) != m for r in a):
+        raise ValueError("matrix is not square")
+    sign, prev = 1, 1
+    for c in range(m):
+        piv = next((r for r in range(c, m) if a[r][c]), None)
+        if piv is None:
+            return 0
+        if piv != c:
+            a[c], a[piv] = a[piv], a[c]
+            sign = -sign
+        for r in range(c + 1, m):
+            for j in range(c + 1, m):
+                q, rem = divmod(a[r][j] * a[c][c] - a[r][c] * a[c][j], prev)
+                if rem:
+                    raise ArithmeticError("Bareiss division is not exact")
+                a[r][j] = q
+        prev = a[c][c]
+    return sign * prev
 
 
-# -- determinant polynomial: interpolation path ---------------------------------
-
-
-def _det_poly_interpolation(row_cols, *, eval_points=None, threads=1):
-    """det(lambda*I - N) as a UniPoly, via values at 0..degree."""
-    m = len(row_cols)
-    if m == 0:
-        return UniPoly.one(), []
-    points = m + 1 if eval_points is None else int(eval_points)
-    if points < m + 1:
-        raise ValueError(f"need at least {m + 1} evaluation points, got {points}")
-
-    def eval_at(lam):
-        t0 = time.perf_counter()
-        rows = []
-        for i, cols in enumerate(row_cols):
-            row = {c: -1 for c in cols}
-            if lam:
-                row[i] = lam  # diagonal of N is empty, so no accumulation
-            rows.append(row)
-        val = _sparse_int_det(rows)
-        return lam, val, time.perf_counter() - t0
-
-    results = _parallel_map(eval_at, range(points), threads)
-    per_point = [t for _, _, t in results]
-    poly = interpolate([(lam, val) for lam, val, _ in results])
-    assert poly.degree == m and poly.is_monic
-    return poly, per_point
+# -- determinant polynomial: per-prime charpoly and CRT ------------------------
 
 
 def _parallel_map(fn, items, threads):
@@ -270,9 +186,6 @@ def _parallel_map(fn, items, threads):
         with ThreadPoolExecutor(max_workers=threads) as ex:
             return list(ex.map(fn, items))
     return [fn(it) for it in items]
-
-
-# -- determinant polynomial: modular path ----------------------------------------
 
 
 def _is_prime(q: int) -> bool:
@@ -350,7 +263,8 @@ def _charpoly_mod_prime(mat: np.ndarray, p: int) -> np.ndarray:
             if np.any(cs):
                 q[m, :m] = (q[m, :m] - cs @ q[:m - 1, :m]) % p
     out = q[n]
-    assert out[n] == 1
+    if out[n] != 1:
+        raise ArithmeticError(f"charpoly mod {p} is not monic")
     return out
 
 
@@ -403,7 +317,9 @@ def _det_poly_modular(row_cols, *, bits_needed: int, threads=1):
             raise ArithmeticError(
                 f"modular determinant failed verification at degree {idx}")
     poly = UniPoly(enumerate(lifted))
-    assert poly.degree == m and poly.is_monic
+    if poly.degree != m or not poly.is_monic:
+        raise ArithmeticError(
+            f"determinant polynomial of size {m} is not monic of degree {m}")
     return poly, {"num_primes": len(primes), "per_prime_s": timings,
                   "verification_prime": check_prime}
 
@@ -415,9 +331,10 @@ def _det_poly_modular(row_cols, *, bits_needed: int, threads=1):
 class CharPolyResult:
     """Characteristic polynomial with how it was obtained.
 
-    detM and detMprime are the full and minor determinant polynomials
-    (None when the result was combined from connected components).
-    components holds per-component results in that case.
+    method is "modular" for a direct computation and "disjoint" for a
+    result combined from connected components.  detM and detMprime are the
+    full and minor determinant polynomials (None for a combined result,
+    whose per-component results are in components).
     """
 
     phi: UniPoly
@@ -434,34 +351,35 @@ class CharPolyResult:
         return self.phi.degree
 
 
-def charpoly(h: Hypergraph, *, method: str = "auto",
-             modular_threshold_bits: int = 512,
-             eval_points=None, threads: int = 1,
+def charpoly(h: Hypergraph, *, threads: int = 1,
              max_matrix_size: int = _DEFAULT_MATRIX_GUARD,
              decompose: bool = True) -> CharPolyResult:
     """Exact characteristic polynomial of a k-uniform hypergraph.
 
-    With decompose=True a disconnected input is split into components and
-    the results are combined by the disjoint-union power identity, which
-    avoids the much larger joint matrix.
+    phi = det(lambda*I - N) / det(lambda*I - N'), both determinants by
+    per-prime characteristic polynomials, CRT and a held-out verification
+    prime; timings["modular_full"] and timings["modular_reduced"] record the
+    primes of each.  With decompose=True a disconnected input is split into
+    components and the results are combined by the disjoint-union power
+    identity, which avoids the much larger joint matrix.
     """
     t_start = time.perf_counter()
-    if method not in ("auto", "interpolation", "modular"):
-        raise ValueError(f"unknown method {method!r}")
+    expected_degree = h.n * (h.k - 1) ** (h.n - 1)
     if decompose:
         comps = h.components()
         if len(comps) > 1:
             parts = []
             phi = UniPoly.one()
             for sub, _verts in comps:
-                res = charpoly(sub, method=method,
-                               modular_threshold_bits=modular_threshold_bits,
-                               eval_points=eval_points, threads=threads,
+                res = charpoly(sub, threads=threads,
                                max_matrix_size=max_matrix_size,
                                decompose=False)
                 parts.append(res)
                 phi = phi * res.phi ** ((h.k - 1) ** (h.n - sub.n))
-            assert phi.degree == h.n * (h.k - 1) ** (h.n - 1)
+            if phi.degree != expected_degree:
+                raise ArithmeticError(
+                    f"component product has degree {phi.degree}, "
+                    f"expected {expected_degree}")
             return CharPolyResult(
                 phi=phi, method="disjoint",
                 matrix_size=sum(r.matrix_size for r in parts),
@@ -472,44 +390,32 @@ def charpoly(h: Hypergraph, *, method: str = "auto",
     mac = build_macaulay(h.eigen_system(), max_matrix_size=max_matrix_size)
     t_build = time.perf_counter()
     bits = predicted_coefficient_bits(mac.size, mac.max_row_sum)
-    if method == "auto":
-        if bits <= modular_threshold_bits and mac.size <= _INTERPOLATION_SIZE_CAP:
-            method = "interpolation"
-        else:
-            method = "modular"
     keep = [i for i, red in enumerate(mac.reduced) if not red]
     keep_pos = {i: pos for pos, i in enumerate(keep)}
     sub_rows = []
     for i in keep:
         sub_rows.append(tuple(keep_pos[c] for c in mac.rows[i] if c in keep_pos))
     timings = {"predicted_bits": bits, "build_s": t_build - t_start}
-    if method == "interpolation":
-        det_m, per_point = _det_poly_interpolation(
-            mac.rows, eval_points=eval_points, threads=threads)
-        t_full = time.perf_counter()
-        det_mp, per_point_red = _det_poly_interpolation(
-            sub_rows, threads=threads)
-        timings["per_point_s"] = per_point
-        timings["per_point_reduced_s"] = per_point_red
-    else:
-        sub_bits = predicted_coefficient_bits(
-            len(sub_rows), max((len(r) for r in sub_rows), default=0))
-        det_m, info = _det_poly_modular(mac.rows, bits_needed=bits,
-                                        threads=threads)
-        t_full = time.perf_counter()
-        det_mp, info_red = _det_poly_modular(sub_rows, bits_needed=sub_bits,
-                                             threads=threads)
-        timings["modular_full"] = info
-        timings["modular_reduced"] = info_red
+    sub_bits = predicted_coefficient_bits(
+        len(sub_rows), max((len(r) for r in sub_rows), default=0))
+    det_m, info = _det_poly_modular(mac.rows, bits_needed=bits,
+                                    threads=threads)
+    t_full = time.perf_counter()
+    det_mp, info_red = _det_poly_modular(sub_rows, bits_needed=sub_bits,
+                                         threads=threads)
+    timings["modular_full"] = info
+    timings["modular_reduced"] = info_red
     t_dets = time.perf_counter()
     timings["det_full_s"] = t_full - t_build
     timings["det_reduced_s"] = t_dets - t_full
     phi, rem = det_m.divide(det_mp)
-    assert rem.is_zero, "minor does not divide the full determinant"
-    assert phi.is_monic
-    assert phi.degree == h.n * (h.k - 1) ** (h.n - 1)
+    if not rem.is_zero:
+        raise ArithmeticError("minor does not divide the full determinant")
+    if not phi.is_monic or phi.degree != expected_degree:
+        raise ArithmeticError(
+            f"quotient is not monic of degree {expected_degree}")
     timings["divide_s"] = time.perf_counter() - t_dets
     timings["total_s"] = time.perf_counter() - t_start
-    return CharPolyResult(phi=phi, method=method, matrix_size=mac.size,
+    return CharPolyResult(phi=phi, method="modular", matrix_size=mac.size,
                           reduced_size=len(sub_rows), detM=det_m,
                           detMprime=det_mp, timings=timings)

@@ -2,9 +2,10 @@
 
 Coefficients are arbitrary-precision Python integers; characteristic
 polynomials of even small hypergraphs have coefficients far beyond any fixed
-width.  Rationals (``fractions.Fraction``) appear transiently during
-interpolation and trace identities.  Floating point is confined to the
-numeric root finder and to residual estimates.
+width.  Rationals (``fractions.Fraction``) appear transiently in exact
+evaluation at float points and in rounding coefficient ratios to floats.
+Floating point is confined to the numeric root finder and to residual
+estimates.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ __all__ = [
     "UniPoly",
     "RootSet",
     "enumerate_monomials",
-    "interpolate",
     "numeric_roots",
     "poly_residual",
     "square_free_decomposition",
@@ -347,47 +347,6 @@ def enumerate_monomials(n: int, d: int) -> list:
     return out
 
 
-# -- interpolation -----------------------------------------------------------
-
-
-def interpolate(points) -> UniPoly:
-    """Exact polynomial through (abscissa, value) pairs, via Newton's form.
-
-    Abscissae must be distinct integers; values may be ints or Fractions.
-    The interpolant must have integer coefficients or ValueError is raised
-    (a non-integer result signals a degree-bound bug upstream).
-    """
-    pts = [(int(x), Fraction(y)) for x, y in points]
-    if len({x for x, _ in pts}) != len(pts):
-        raise ValueError("duplicate abscissae")
-    if not pts:
-        raise ValueError("no interpolation points")
-    # divided differences
-    coeffs = [y for _, y in pts]
-    xs = [x for x, _ in pts]
-    m = len(pts)
-    for level in range(1, m):
-        for i in range(m - 1, level - 1, -1):
-            coeffs[i] = (coeffs[i] - coeffs[i - 1]) / (xs[i] - xs[i - level])
-    # expand Newton form to the monomial basis
-    poly = {0: Fraction(0)}
-    for i in range(m - 1, -1, -1):
-        # poly <- poly*(x - xs[i]) + coeffs[i]
-        new = {}
-        for d, v in poly.items():
-            new[d + 1] = new.get(d + 1, Fraction(0)) + v
-            new[d] = new.get(d, Fraction(0)) - v * xs[i]
-        new[0] = new.get(0, Fraction(0)) + coeffs[i]
-        poly = new
-    out = {}
-    for d, v in poly.items():
-        if v:
-            if v.denominator != 1:
-                raise ValueError(f"non-integer coefficient {v} at degree {d}")
-            out[d] = int(v)
-    return UniPoly(out)
-
-
 # -- gcd and square-free decomposition ---------------------------------------
 
 
@@ -501,7 +460,11 @@ def _horner(coeffs, z):
 def _aberth(coeffs, tol=5e-15, max_iter=400):
     """Simultaneous (Aberth-Ehrlich) iteration on a square-free polynomial.
 
-    ``coeffs`` ascending, monic floats.  Returns (roots, converged).
+    ``coeffs`` ascending, monic floats.  Returns (roots, converged).  A root
+    is frozen once |p(z)| is within Horner's rounding bound
+    4*deg*2^-52*sum|c_i||z|^i, where the steps only follow rounding noise;
+    the iteration has converged when every root is frozen or the largest
+    relative step is at most tol.
     """
     deg = len(coeffs) - 1
     if deg == 0:
@@ -509,6 +472,9 @@ def _aberth(coeffs, tol=5e-15, max_iter=400):
     if deg == 1:
         return [complex(-coeffs[0])], True
     dcoeffs = [i * coeffs[i] for i in range(1, deg + 1)]
+    abs_coeffs = [abs(c) for c in coeffs]
+    noise = 4.0 * deg * 2.0 ** -52
+    frozen = [False] * deg
     radius = 1.0 + max(abs(c) for c in coeffs[:-1])
     z = [radius * 0.8 * cmath.exp(2j * math.pi * (j + 0.37) / deg) + 0.1j
          for j in range(deg)]
@@ -516,8 +482,11 @@ def _aberth(coeffs, tol=5e-15, max_iter=400):
     for _ in range(max_iter):
         moved = 0.0
         for j in range(deg):
+            if frozen[j]:
+                continue
             pv = _horner(coeffs, z[j])
-            if pv == 0:
+            if abs(pv) <= noise * _horner(abs_coeffs, abs(z[j])).real:
+                frozen[j] = True
                 continue
             dv = _horner(dcoeffs, z[j])
             if dv == 0:
@@ -536,7 +505,7 @@ def _aberth(coeffs, tol=5e-15, max_iter=400):
             w = ratio if denom == 0 else ratio / denom
             z[j] -= w
             moved = max(moved, abs(w) / (1.0 + abs(z[j])))
-        if moved <= tol:
+        if moved <= tol or all(frozen):
             converged = True
             break
     # polish with plain Newton

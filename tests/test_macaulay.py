@@ -1,9 +1,14 @@
 import itertools
+import json
 import math
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
+import hypergraph_spectra
 from hypergraph_spectra.errors import GuardError
 from hypergraph_spectra.hypergraphs import (
     Hypergraph,
@@ -11,6 +16,7 @@ from hypergraph_spectra.hypergraphs import (
     complete_cylinder,
     disjoint_union,
     single_edge,
+    tetra_minus_face,
 )
 from hypergraph_spectra.macaulay import (
     build_macaulay,
@@ -19,6 +25,7 @@ from hypergraph_spectra.macaulay import (
     predicted_coefficient_bits,
 )
 from hypergraph_spectra.polynomials import UniPoly
+from hypergraph_spectra.traces import schur_coefficients
 
 
 def _charpoly_by_permanent_expansion(h):
@@ -48,6 +55,40 @@ def _charpoly_by_permanent_expansion(h):
                          if perm[i] > perm[j])
         total = total + (term if inversions % 2 == 0 else -term)
     return total
+
+
+def _charpoly_by_power_sums(h):
+    """phi from its power sums tr(N^d) - tr(N'^d) by Newton's identities,
+    as an oracle that uses no determinant engine.
+    """
+    mac = build_macaulay(h.eigen_system())
+    degree = h.n * (h.k - 1) ** (h.n - 1)
+    keep = [i for i, red in enumerate(mac.reduced) if not red]
+    keep_pos = {i: pos for pos, i in enumerate(keep)}
+    minor_rows = [[keep_pos[c] for c in mac.rows[i] if c in keep_pos]
+                  for i in keep]
+
+    def power_traces(rows):
+        m = len(rows)
+        power = [[int(i == j) for j in range(m)] for i in range(m)]
+        out = []
+        for _ in range(degree):
+            nxt = [[0] * m for _ in range(m)]
+            for prow, nrow in zip(power, nxt):
+                for j, v in enumerate(prow):
+                    if v:
+                        for c in rows[j]:
+                            nrow[c] += v
+            power = nxt
+            out.append(sum(power[i][i] for i in range(m)))
+        return out
+
+    sums = [a - b for a, b in zip(power_traces(mac.rows),
+                                  power_traces(minor_rows))]
+    coeffs = schur_coefficients(sums)
+    assert all(c.denominator == 1 for c in coeffs)
+    return UniPoly({degree: 1, **{degree - d: int(c)
+                                  for d, c in enumerate(coeffs, 1)}})
 
 
 def test_int_determinant_small():
@@ -150,7 +191,7 @@ def test_charpoly_single_3edge():
     res = charpoly(single_edge(3))
     want = UniPoly({3: 1}) * UniPoly({3: 1, 0: -1}) ** 3
     assert res.phi == want
-    assert res.method == "interpolation"
+    assert res.method == "modular"
     assert res.matrix_size == 15 and res.reduced_size == 3
     assert res.detM is not None and res.detMprime is not None
     assert res.detM == res.phi * res.detMprime
@@ -162,19 +203,16 @@ def test_charpoly_single_4edge():
     assert res.phi == want
 
 
-def test_charpoly_methods_agree_tetra():
-    h = Hypergraph(4, 3, [(0, 1, 2), (0, 1, 3), (0, 2, 3)])
-    a = charpoly(h, method="interpolation")
-    b = charpoly(h, method="modular")
-    assert a.phi == b.phi
-    assert a.phi.degree == 4 * 2 ** 3
+def test_charpoly_matches_power_sums_tetra():
+    h = tetra_minus_face()
+    phi = charpoly(h).phi
+    assert phi == _charpoly_by_power_sums(h)
+    assert phi.degree == 4 * 2 ** 3
 
 
-def test_charpoly_methods_agree_cylinder():
+def test_charpoly_matches_power_sums_cylinder():
     h = complete_cylinder([1, 1, 2])
-    a = charpoly(h, method="interpolation")
-    b = charpoly(h, method="modular")
-    assert a.phi == b.phi
+    assert charpoly(h).phi == _charpoly_by_power_sums(h)
 
 
 def test_charpoly_relabel_invariant():
@@ -214,17 +252,19 @@ def test_charpoly_codegree_closed_forms_random():
         assert phi.coeff_at_codegree(3) == want
 
 
-def test_charpoly_eval_points_override():
-    h = single_edge(3)
-    res = charpoly(h, method="interpolation", eval_points=20)
-    want = UniPoly({3: 1}) * UniPoly({3: 1, 0: -1}) ** 3
-    assert res.phi == want
-    with pytest.raises(ValueError):
-        charpoly(h, method="interpolation", eval_points=3)
-
-
 def test_charpoly_threads_match():
     h = Hypergraph(4, 3, [(0, 1, 2), (0, 1, 3), (0, 2, 3)])
     a = charpoly(h, threads=1)
     b = charpoly(h, threads=4)
     assert a.phi == b.phi
+
+
+def test_charpoly_checks_survive_python_O():
+    # -O strips assert statements; the arithmetic checks must still run
+    src = os.path.dirname(os.path.dirname(hypergraph_spectra.__file__))
+    code = ("import json, hypergraph_spectra as hs; "
+            "print(json.dumps(hs.charpoly(hs.tetra_minus_face()).phi.to_json()))")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert UniPoly.from_json(json.loads(out)) == charpoly(tetra_minus_face()).phi
