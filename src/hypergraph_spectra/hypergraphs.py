@@ -247,7 +247,9 @@ def ultracube(k: int, d: int) -> Hypergraph:
             if (base // stride) % k == 0:
                 edges.append(tuple(base + c * stride for c in range(k)))
     h = Hypergraph(n, k, edges)
-    assert len(h.edges) == d * k ** (d - 1)
+    if len(h.edges) != d * k ** (d - 1):
+        raise ArithmeticError(
+            f"ultracube has {len(h.edges)} edges, expected {d * k ** (d - 1)}")
     return h
 
 

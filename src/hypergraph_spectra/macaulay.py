@@ -8,10 +8,11 @@ lambda*I - N for a 0/1 integer matrix N, the quotient by the minor on rows
 whose monomial has two or more coordinates >= k-1 is exact, and the result
 is the monic characteristic polynomial of degree n(k-1)^(n-1).
 
-Both determinants are computed by one exact engine: the characteristic
-polynomial of the 0/1 matrix is taken modulo enough primes to cover a
-coefficient-size bound, recombined by CRT, and checked against a held-out
-verification prime.
+phi is computed by one exact engine: for each prime the characteristic
+polynomials of N and of its minor N' are divided modulo p, CRT rebuilds
+phi's coefficients, and a held-out prime checks the result.  The primes
+cover an a-priori certificate: every root of phi is an eigenvalue, so its
+modulus is at most the maximum degree Delta, which bounds each coefficient.
 """
 
 from __future__ import annotations
@@ -130,19 +131,20 @@ def build_macaulay(system: EigenSystem, *,
 # -- coefficient-size prediction ----------------------------------------------
 
 
-def predicted_coefficient_bits(size: int, max_row_sum: int) -> int:
-    """Upper bound in bits on charpoly coefficients of a matrix whose
-    eigenvalues are at most max_row_sum in modulus: |c_j| <= C(size,j)*r^j.
+def predicted_coefficient_bits(degree: int, root_bound: int) -> int:
+    """Upper bound in bits, sign included, on the coefficients of a monic
+    integer polynomial whose roots are at most root_bound in modulus:
+    |c_j| <= C(degree, j)*root_bound^j.
     """
-    if size == 0:
+    if degree == 0:
         return 1
-    r = max(max_row_sum, 1)
+    r = max(root_bound, 1)
     log2r = math.log2(r)
     ln2 = math.log(2.0)
     best = 0.0
     lg = math.lgamma
-    for j in range(size + 1):
-        logc = (lg(size + 1) - lg(j + 1) - lg(size - j + 1)) / ln2
+    for j in range(degree + 1):
+        logc = (lg(degree + 1) - lg(j + 1) - lg(degree - j + 1)) / ln2
         best = max(best, logc + j * log2r)
     return int(best) + 2
 
@@ -178,7 +180,7 @@ def int_determinant(matrix) -> int:
     return sign * prev
 
 
-# -- determinant polynomial: per-prime charpoly and CRT ------------------------
+# -- phi modulo a prime, and CRT -----------------------------------------------
 
 
 def _parallel_map(fn, items, threads):
@@ -268,60 +270,39 @@ def _charpoly_mod_prime(mat: np.ndarray, p: int) -> np.ndarray:
     return out
 
 
-def _det_poly_modular(row_cols, *, bits_needed: int, threads=1):
-    """det(lambda*I - N) by per-prime characteristic polynomials and CRT."""
-    m = len(row_cols)
-    if m == 0:
-        return UniPoly.one(), {"num_primes": 0, "per_prime_s": []}
-    mat = np.zeros((m, m), dtype=np.int64)
-    for r, cols in enumerate(row_cols):
-        for c in cols:
-            mat[r, c] = 1
-    gen = _primes_descending(_prime_bits_for(m))
-    primes = []
-    total = 0.0
-    target = bits_needed + 8
-    while total < target:
-        p = next(gen)
-        primes.append(p)
-        total += math.log2(p)
-    check_prime = next(gen)
+def _phi_mod_prime(full: np.ndarray, minor: np.ndarray, p: int):
+    """phi mod p, ascending: the charpoly of N divided by the monic charpoly
+    of N' mod p, where a nonzero remainder raises ArithmeticError.  Also
+    returns the seconds of the N kernel, the N' kernel and the division.
+    """
+    t0 = time.perf_counter()
+    rem = _charpoly_mod_prime(full, p)
+    t1 = time.perf_counter()
+    den = _charpoly_mod_prime(minor, p)
+    t2 = time.perf_counter()
+    dd = len(den) - 1
+    quot = np.zeros(len(rem) - dd, dtype=np.int64)
+    for e in range(len(quot) - 1, -1, -1):
+        q = quot[e] = rem[e + dd]
+        if q:
+            rem[e:e + dd + 1] = (rem[e:e + dd + 1] - q * den) % p
+    if np.any(rem[:dd]):
+        raise ArithmeticError(
+            f"charpoly of N' leaves a nonzero remainder mod {p}")
+    return quot, (t1 - t0, t2 - t1, time.perf_counter() - t2)
 
-    timings = []
 
-    def run(p):
-        t0 = time.perf_counter()
-        res = _charpoly_mod_prime(mat, p)
-        timings.append(time.perf_counter() - t0)
-        return res
-
-    residues = _parallel_map(run, primes, threads)
-    coeffs = [0] * (m + 1)
-    modulus = 1
-    for p, res in zip(primes, residues):
-        if modulus == 1:
-            coeffs = [int(v) for v in res]
-            modulus = p
-            continue
+def _crt_symmetric(primes, residues) -> list:
+    """The integers in the symmetric range that have the given residues."""
+    coeffs = [int(v) for v in residues[0]]
+    modulus = primes[0]
+    for p, res in zip(primes[1:], residues[1:]):
         minv = pow(modulus % p, p - 2, p)
-        for idx in range(m + 1):
-            t = ((int(res[idx]) - coeffs[idx]) * minv) % p
-            coeffs[idx] += modulus * t
+        for idx, v in enumerate(res):
+            coeffs[idx] += modulus * ((int(v) - coeffs[idx]) * minv % p)
         modulus *= p
     half = modulus // 2
-    lifted = [v - modulus if v > half else v for v in coeffs]
-    # held-out prime check: recompute independently and compare
-    check = _charpoly_mod_prime(mat, check_prime)
-    for idx in range(m + 1):
-        if lifted[idx] % check_prime != int(check[idx]) % check_prime:
-            raise ArithmeticError(
-                f"modular determinant failed verification at degree {idx}")
-    poly = UniPoly(enumerate(lifted))
-    if poly.degree != m or not poly.is_monic:
-        raise ArithmeticError(
-            f"determinant polynomial of size {m} is not monic of degree {m}")
-    return poly, {"num_primes": len(primes), "per_prime_s": timings,
-                  "verification_prime": check_prime}
+    return [v - modulus if v > half else v for v in coeffs]
 
 
 # -- public characteristic polynomial -------------------------------------------
@@ -332,17 +313,21 @@ class CharPolyResult:
     """Characteristic polynomial with how it was obtained.
 
     method is "modular" for a direct computation and "disjoint" for a
-    result combined from connected components.  detM and detMprime are the
-    full and minor determinant polynomials (None for a combined result,
-    whose per-component results are in components).
+    result combined from connected components (kept in components).  detM
+    and detMprime stay None: phi is rebuilt without either determinant.
+    The timings of a direct result hold predicted_bits, the certified bound
+    on phi's coefficient bits with the sign, beside phi_bits, the actual
+    bits; modular_full and modular_reduced list the N and N' kernel seconds
+    on each CRT prime (det_full_s and det_reduced_s sum them over every
+    prime, the held-out one included; divide_s sums the divisions mod p).
     """
 
     phi: UniPoly
     method: str
     matrix_size: int
     reduced_size: int
-    detM: UniPoly | None
-    detMprime: UniPoly | None
+    detM: UniPoly | None = None
+    detMprime: UniPoly | None = None
     timings: dict = field(default_factory=dict)
     components: list | None = None
 
@@ -356,10 +341,12 @@ def charpoly(h: Hypergraph, *, threads: int = 1,
              decompose: bool = True) -> CharPolyResult:
     """Exact characteristic polynomial of a k-uniform hypergraph.
 
-    phi = det(lambda*I - N) / det(lambda*I - N'), both determinants by
-    per-prime characteristic polynomials, CRT and a held-out verification
-    prime; timings["modular_full"] and timings["modular_reduced"] record the
-    primes of each.  With decompose=True a disconnected input is split into
+    phi = det(lambda*I - N) / det(lambda*I - N').  For each prime the
+    characteristic polynomials of N and N' are divided mod p; CRT rebuilds
+    phi's coefficients alone, and one more, held-out prime checks the
+    result.  The primes cover the certificate |c_j| <= C(D, j)*Delta^j,
+    which holds because every root of phi has modulus at most the maximum
+    degree Delta.  With decompose=True a disconnected input is split into
     components and the results are combined by the disjoint-union power
     identity, which avoids the much larger joint matrix.
     """
@@ -384,38 +371,40 @@ def charpoly(h: Hypergraph, *, threads: int = 1,
                 phi=phi, method="disjoint",
                 matrix_size=sum(r.matrix_size for r in parts),
                 reduced_size=sum(r.reduced_size for r in parts),
-                detM=None, detMprime=None,
                 timings={"total_s": time.perf_counter() - t_start},
                 components=parts)
     mac = build_macaulay(h.eigen_system(), max_matrix_size=max_matrix_size)
     t_build = time.perf_counter()
-    bits = predicted_coefficient_bits(mac.size, mac.max_row_sum)
+    # every row of N holds one 1 per edge at its vertex: max_row_sum = Delta
+    bits = predicted_coefficient_bits(expected_degree, mac.max_row_sum)
+    full = mac.dense_n()
     keep = [i for i, red in enumerate(mac.reduced) if not red]
-    keep_pos = {i: pos for pos, i in enumerate(keep)}
-    sub_rows = []
-    for i in keep:
-        sub_rows.append(tuple(keep_pos[c] for c in mac.rows[i] if c in keep_pos))
-    timings = {"predicted_bits": bits, "build_s": t_build - t_start}
-    sub_bits = predicted_coefficient_bits(
-        len(sub_rows), max((len(r) for r in sub_rows), default=0))
-    det_m, info = _det_poly_modular(mac.rows, bits_needed=bits,
-                                    threads=threads)
-    t_full = time.perf_counter()
-    det_mp, info_red = _det_poly_modular(sub_rows, bits_needed=sub_bits,
-                                         threads=threads)
-    timings["modular_full"] = info
-    timings["modular_reduced"] = info_red
-    t_dets = time.perf_counter()
-    timings["det_full_s"] = t_full - t_build
-    timings["det_reduced_s"] = t_dets - t_full
-    phi, rem = det_m.divide(det_mp)
-    if not rem.is_zero:
-        raise ArithmeticError("minor does not divide the full determinant")
+    minor = full[np.ix_(keep, keep)]
+    gen = _primes_descending(_prime_bits_for(mac.size))
+    primes, total = [], 0.0
+    while total < bits + 8:
+        primes.append(next(gen))
+        total += math.log2(primes[-1])
+    check_prime = next(gen)
+    residues, times = zip(*_parallel_map(
+        lambda p: _phi_mod_prime(full, minor, p), primes + [check_prime],
+        threads))
+    lifted = _crt_symmetric(primes, residues[:-1])
+    if any((c - int(v)) % check_prime for c, v in zip(lifted, residues[-1])):
+        raise ArithmeticError(
+            f"phi failed verification at the held-out prime {check_prime}")
+    phi = UniPoly(enumerate(lifted))
     if not phi.is_monic or phi.degree != expected_degree:
         raise ArithmeticError(
-            f"quotient is not monic of degree {expected_degree}")
-    timings["divide_s"] = time.perf_counter() - t_dets
-    timings["total_s"] = time.perf_counter() - t_start
+            f"phi is not monic of degree {expected_degree}")
+    full_s, minor_s, divide_s = zip(*times)
+    info = {"num_primes": len(primes), "verification_prime": check_prime}
+    timings = {"build_s": t_build - t_start, "predicted_bits": bits,
+               "phi_bits": phi.max_coefficient_bits(),
+               "modular_full": dict(info, per_prime_s=list(full_s[:-1])),
+               "modular_reduced": dict(info, per_prime_s=list(minor_s[:-1])),
+               "det_full_s": sum(full_s), "det_reduced_s": sum(minor_s),
+               "divide_s": sum(divide_s),
+               "total_s": time.perf_counter() - t_start}
     return CharPolyResult(phi=phi, method="modular", matrix_size=mac.size,
-                          reduced_size=len(sub_rows), detM=det_m,
-                          detMprime=det_mp, timings=timings)
+                          reduced_size=len(keep), timings=timings)

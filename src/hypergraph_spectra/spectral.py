@@ -251,7 +251,9 @@ def greedy_color(h: Hypergraph) -> ColoringReport:
             c += 1
         colors[v] = c
     for e in h.edges:
-        assert len({colors[v] for v in e}) > 1, "monochromatic edge"
+        if len({colors[v] for v in e}) == 1:
+            raise ArithmeticError(
+                f"greedy coloring left edge {e} monochromatic")
     return ColoringReport(colors=colors, count=max(colors.values()),
                           order=tuple(order), degeneracy=degeneracy)
 

@@ -137,7 +137,8 @@ def generalized_trace(h: Hypergraph, d: int) -> int:
         if contrib:
             total += Fraction(contrib, denom)
     result = total * scale
-    assert result.denominator == 1
+    if result.denominator != 1:
+        raise ArithmeticError(f"generalized trace {result} is not an integer")
     return int(result)
 
 
@@ -224,7 +225,8 @@ def coefficients_via_traces(h: Hypergraph, max_codegree: int | None = None,
     coeffs = schur_coefficients(traces)
     out = [1]
     for c in coeffs:
-        assert c.denominator == 1
+        if c.denominator != 1:
+            raise ArithmeticError(f"coefficient {c} is not an integer")
         out.append(int(c))
     return out
 

@@ -61,6 +61,15 @@ def test_charpoly_text(capsys):
     assert "method=" in err
 
 
+def test_charpoly_stderr_reports_bits(capsys):
+    code, _, err = run(capsys, "charpoly", "--family", "single-edge", "--k", "3")
+    assert code == 0
+    timings = json.loads(err.split("timings=", 1)[1])
+    # phi = L^12 - 3L^9 + 3L^6 - L^3 against C(12, 6) = 924 < 2^10, plus a sign
+    assert timings["phi_bits"] == 2
+    assert timings["predicted_bits"] == 11
+
+
 def test_charpoly_json_deterministic_across_threads(capsys):
     args = ["charpoly", "--family", "tetra-minus-face", "--format", "json"]
     code1, out1, _ = run(capsys, *args, "--threads", "1")

@@ -1,3 +1,5 @@
+import ast
+import glob
 import itertools
 import json
 import math
@@ -9,6 +11,7 @@ import sys
 import pytest
 
 import hypergraph_spectra
+from hypergraph_spectra import macaulay
 from hypergraph_spectra.errors import GuardError
 from hypergraph_spectra.hypergraphs import (
     Hypergraph,
@@ -193,8 +196,8 @@ def test_charpoly_single_3edge():
     assert res.phi == want
     assert res.method == "modular"
     assert res.matrix_size == 15 and res.reduced_size == 3
-    assert res.detM is not None and res.detMprime is not None
-    assert res.detM == res.phi * res.detMprime
+    # phi is rebuilt without det M and det M'
+    assert res.detM is None and res.detMprime is None
 
 
 def test_charpoly_single_4edge():
@@ -257,6 +260,9 @@ def test_charpoly_threads_match():
     a = charpoly(h, threads=1)
     b = charpoly(h, threads=4)
     assert a.phi == b.phi
+    for key in ("modular_full", "modular_reduced"):
+        info = b.timings[key]
+        assert len(info["per_prime_s"]) == info["num_primes"]
 
 
 def test_charpoly_checks_survive_python_O():
@@ -268,3 +274,68 @@ def test_charpoly_checks_survive_python_O():
     out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
                          capture_output=True, text=True, check=True).stdout
     assert UniPoly.from_json(json.loads(out)) == charpoly(tetra_minus_face()).phi
+
+
+def _all_graphs(n, k):
+    pool = list(itertools.combinations(range(n), k))
+    for bits in range(2 ** len(pool)):
+        yield Hypergraph(n, k, [e for i, e in enumerate(pool) if bits >> i & 1])
+
+
+def test_charpoly_certificate_covers_phi():
+    # |c_j| <= C(D, j)*Delta^j, so the predicted bits (sign included) cover phi
+    graphs = [*_all_graphs(4, 3), *_all_graphs(4, 2), single_edge(4)]
+    assert len(graphs) == 16 + 64 + 1
+    for h in graphs:
+        res = charpoly(h, decompose=False)
+        assert res.phi.max_coefficient_bits() == res.timings["phi_bits"]
+        assert res.timings["phi_bits"] + 1 <= res.timings["predicted_bits"]
+
+
+def test_charpoly_primes_sized_from_phi():
+    # D = 80 and Delta = 6 bound phi by 223 bits: ten 25-bit primes
+    res = charpoly(complete(5, 3))
+    assert res.timings["modular_full"]["num_primes"] <= 10
+
+
+def _corrupt_one_prime(monkeypatch, prime, size):
+    real = macaulay._charpoly_mod_prime
+
+    def corrupted(mat, p):
+        out = real(mat, p)
+        if p == prime and mat.shape[0] == size:
+            out[0] = (out[0] + 1) % p
+        return out
+
+    monkeypatch.setattr(macaulay, "_charpoly_mod_prime", corrupted)
+
+
+@pytest.mark.parametrize("which", ["crt", "held-out"])
+@pytest.mark.parametrize("h, match", [
+    # 3-graph: the wrong charpoly of N leaves a remainder mod p
+    (tetra_minus_face(), "nonzero remainder"),
+    # 2-graph: N' is empty, so only the held-out prime can catch it
+    (complete(4, 2), "held-out prime"),
+], ids=["3-graph", "2-graph"])
+def test_charpoly_checks_are_wired(monkeypatch, which, h, match):
+    res = charpoly(h, decompose=False)
+    if which == "crt":
+        prime = next(macaulay._primes_descending(
+            macaulay._prime_bits_for(res.matrix_size)))
+    else:
+        prime = res.timings["modular_full"]["verification_prime"]
+    _corrupt_one_prime(monkeypatch, prime, res.matrix_size)
+    with pytest.raises(ArithmeticError, match=match):
+        charpoly(h, decompose=False)
+
+
+def test_no_assert_statements_in_src():
+    # python -O strips assert; invariants must raise explicitly
+    src = os.path.dirname(hypergraph_spectra.__file__)
+    found = []
+    for path in sorted(glob.glob(os.path.join(src, "*.py"))):
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), filename=path)
+        found += [f"{os.path.basename(path)}:{node.lineno}"
+                  for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert found == []
