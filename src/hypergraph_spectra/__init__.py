@@ -7,7 +7,6 @@ spectral bounds with verification helpers.
 
 from .errors import EdgeListFormatError, GuardError
 from .hypergraphs import (
-    EigenSystem,
     Hypergraph,
     cartesian_product,
     complete,

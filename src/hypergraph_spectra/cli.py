@@ -23,7 +23,6 @@ from .hypergraphs import (
     ultracube,
 )
 from .macaulay import charpoly
-from .polynomials import UniPoly
 from .spectral import (
     complete3_spectrum,
     cylinder_spectrum,
@@ -126,10 +125,6 @@ def _emit_json(obj) -> None:
     print(json.dumps(obj, sort_keys=True, indent=2))
 
 
-def _poly_json(p: UniPoly) -> list:
-    return [[d, str(c)] for d, c in p.terms_descending()]
-
-
 def _complex_pair(z: complex) -> list:
     return [z.real, z.imag]
 
@@ -170,7 +165,7 @@ def _cmd_charpoly(ns) -> int:
             "method": result.method,
             "matrix_size": result.matrix_size,
             "degree": result.phi.degree,
-            "coefficients": _poly_json(result.phi),
+            "coefficients": result.phi.to_json(),
         })
     else:
         print(result.phi)

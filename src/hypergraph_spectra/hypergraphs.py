@@ -8,13 +8,11 @@ have isolated vertices (they matter to the spectrum, so n is explicit).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import EdgeListFormatError
 
 __all__ = [
-    "EigenSystem",
     "Hypergraph",
     "cartesian_product",
     "complete",
@@ -29,27 +27,19 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class EigenSystem:
-    """The polynomial eigenvalue system of a hypergraph.
-
-    ``links[i]`` lists the edges through vertex i with i removed, so the
-    i-th equation reads  sum over links[i] of x^edge = lambda * x_i^(k-1).
-    """
-
-    n: int
-    k: int
-    links: tuple
-
-
 class Hypergraph:
     """Immutable k-uniform hypergraph on vertices 0..n-1.
 
     Instances are treated as immutable; no method mutates self.  Equal
     hypergraphs (same n, k, edge set) compare and hash equal.
+
+    ``edges`` is the sorted tuple of edges.  ``incidence[v]`` is the
+    ascending tuple of indices into ``edges`` of the edges through v; it is
+    built once here, and every routine that walks the edges at a vertex
+    reads it.
     """
 
-    __slots__ = ("n", "k", "edges", "_edge_set")
+    __slots__ = ("n", "k", "edges", "incidence", "_edge_set")
 
     def __init__(self, n: int, k: int, edges=()):
         if n < 1:
@@ -58,7 +48,7 @@ class Hypergraph:
             raise ValueError("uniformity k must be at least 2")
         canon = set()
         for e in edges:
-            t = tuple(sorted(int(v) for v in e))
+            t = tuple(sorted(map(int, e)))
             if len(t) != k:
                 raise ValueError(f"edge {t} has {len(t)} vertices, expected k={k}")
             if len(set(t)) != k:
@@ -69,6 +59,11 @@ class Hypergraph:
         self.n = n
         self.k = k
         self.edges = tuple(sorted(canon))
+        incidence = [[] for _ in range(n)]
+        for idx, e in enumerate(self.edges):
+            for v in e:
+                incidence[v].append(idx)
+        self.incidence = tuple(map(tuple, incidence))
         self._edge_set = frozenset(canon)
 
     # -- basic inspection ----------------------------------------------------
@@ -81,14 +76,13 @@ class Hypergraph:
         return tuple(sorted(e)) in self._edge_set
 
     def degree(self, v: int) -> int:
-        return sum(1 for e in self.edges if v in e)
+        if not 0 <= v < self.n:
+            raise ValueError(f"vertex {v} out of range")
+        return len(self.incidence[v])
 
     def degrees(self):
         """(min degree, average degree as an exact Fraction, max degree)."""
-        counts = [0] * self.n
-        for e in self.edges:
-            for v in e:
-                counts[v] += 1
+        counts = [len(idxs) for idxs in self.incidence]
         avg = Fraction(self.k * len(self.edges), self.n)
         return min(counts), avg, max(counts)
 
@@ -96,11 +90,8 @@ class Hypergraph:
         """Edges through v, with v removed: sorted (k-1)-tuples."""
         if not 0 <= v < self.n:
             raise ValueError(f"vertex {v} out of range")
-        return tuple(tuple(u for u in e if u != v) for e in self.edges if v in e)
-
-    def eigen_system(self) -> EigenSystem:
-        return EigenSystem(self.n, self.k,
-                           tuple(self.link(v) for v in range(self.n)))
+        return tuple(tuple(u for u in self.edges[idx] if u != v)
+                     for idx in self.incidence[v])
 
     # -- structure -----------------------------------------------------------
 
@@ -109,12 +100,9 @@ class Hypergraph:
 
         original-vertices is the ascending tuple of vertex ids; the
         sub-hypergraph relabels them to 0..len-1 in that order.  Isolated
-        vertices form singleton components.
+        vertices form singleton components.  A connected hypergraph is
+        returned as itself, not copied.
         """
-        adj = [[] for _ in range(self.n)]
-        for idx, e in enumerate(self.edges):
-            for v in e:
-                adj[v].append(idx)
         seen = [False] * self.n
         out = []
         for start in range(self.n):
@@ -126,15 +114,18 @@ class Hypergraph:
             while stack:
                 v = stack.pop()
                 verts.append(v)
-                for idx in adj[v]:
+                for idx in self.incidence[v]:
                     for u in self.edges[idx]:
                         if not seen[u]:
                             seen[u] = True
                             stack.append(u)
+            if len(verts) == self.n:
+                return [(self, tuple(range(self.n)))]
             verts.sort()
             pos = {v: i for i, v in enumerate(verts)}
-            edges = [tuple(pos[v] for v in e) for e in self.edges
-                     if e[0] in pos]
+            # each edge once, at its smallest vertex
+            edges = [tuple(pos[u] for u in self.edges[idx]) for v in verts
+                     for idx in self.incidence[v] if self.edges[idx][0] == v]
             out.append((Hypergraph(len(verts), self.k, edges), tuple(verts)))
         return out
 

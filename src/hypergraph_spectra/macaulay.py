@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import GuardError
-from .hypergraphs import EigenSystem, Hypergraph
+from .hypergraphs import Hypergraph
 from .polynomials import UniPoly, enumerate_monomials
 
 __all__ = [
@@ -44,17 +44,15 @@ _DEFAULT_MATRIX_GUARD = 4000
 class MacaulayMatrix:
     """The matrix lambda*I - N, stored through N's 0/1 sparsity.
 
-    rows[r] lists the column indices of the ones in row r of N; classes[r]
-    is the vertex whose form fills row r; reduced[r] marks monomials with
-    exactly one coordinate >= k-1 (the rows removed to form the minor).
+    rows[r] lists the column indices of the ones in row r of N; reduced[r]
+    marks monomials with exactly one coordinate >= k-1 (the rows removed to
+    form the minor).
     """
 
     n: int
     k: int
     degree: int
     monomials: tuple
-    index: dict
-    classes: tuple
     rows: tuple
     reduced: tuple
 
@@ -78,10 +76,10 @@ class MacaulayMatrix:
         return mat
 
 
-def build_macaulay(system: EigenSystem, *,
+def build_macaulay(h: Hypergraph, *,
                    max_matrix_size: int = _DEFAULT_MATRIX_GUARD) -> MacaulayMatrix:
-    """Assemble the Macaulay matrix of an eigenvalue system."""
-    n, k = system.n, system.k
+    """Assemble the Macaulay matrix of a hypergraph's eigenvalue system."""
+    n, k = h.n, h.k
     big_d = n * (k - 1) - n + 1
     size = math.comb(n * (k - 1), n - 1)
     if size > max_matrix_size:
@@ -100,17 +98,16 @@ def build_macaulay(system: EigenSystem, *,
         raise ArithmeticError(
             f"enumerated {len(monomials)} monomials, expected {size}")
     index = {m: i for i, m in enumerate(monomials)}
-    classes = []
+    links = [h.link(v) for v in range(n)]
     rows = []
     reduced = []
     for alpha in monomials:
         cls = next(i for i, a in enumerate(alpha) if a >= k - 1)
-        classes.append(cls)
         reduced.append(sum(1 for a in alpha if a >= k - 1) == 1)
         cols = []
         base = list(alpha)
         base[cls] -= k - 1
-        for rest in system.links[cls]:
+        for rest in links[cls]:
             beta = base.copy()
             for u in rest:
                 beta[u] += 1
@@ -119,8 +116,7 @@ def build_macaulay(system: EigenSystem, *,
             raise ArithmeticError(f"repeated column in the row of {alpha}")
         rows.append(tuple(cols))
     mac = MacaulayMatrix(n=n, k=k, degree=big_d, monomials=tuple(monomials),
-                         index=index, classes=tuple(classes), rows=tuple(rows),
-                         reduced=tuple(reduced))
+                         rows=tuple(rows), reduced=tuple(reduced))
     if mac.reduced_count != n * (k - 1) ** (n - 1):
         raise ArithmeticError(
             f"{mac.reduced_count} reduced rows, expected the degree "
@@ -373,7 +369,7 @@ def charpoly(h: Hypergraph, *, threads: int = 1,
                 reduced_size=sum(r.reduced_size for r in parts),
                 timings={"total_s": time.perf_counter() - t_start},
                 components=parts)
-    mac = build_macaulay(h.eigen_system(), max_matrix_size=max_matrix_size)
+    mac = build_macaulay(h, max_matrix_size=max_matrix_size)
     t_build = time.perf_counter()
     # every row of N holds one 1 per edge at its vertex: max_row_sum = Delta
     bits = predicted_coefficient_bits(expected_degree, mac.max_row_sum)

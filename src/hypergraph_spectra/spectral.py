@@ -47,6 +47,27 @@ __all__ = [
 # -- eigenpair verification ----------------------------------------------------
 
 
+def _link_sums(links, x) -> list:
+    """For each vertex, the sum over its link of the product of x's entries.
+
+    The sums start from 0 and 1 in the type of x's entries (float or
+    complex): mixing in ints would give the same bits but keep the float
+    loop off its fast path.
+    """
+    one = x[0] ** 0
+    zero = one - one
+    sums = []
+    for link in links:
+        total = zero
+        for rest in link:
+            prod = one
+            for u in rest:
+                prod *= x[u]
+            total += prod
+        sums.append(total)
+    return sums
+
+
 def verify_eigenpair(h: Hypergraph, lam, x) -> float:
     """Max residual of the eigenvalue equations, scaled by the vector size.
 
@@ -61,15 +82,8 @@ def verify_eigenpair(h: Hypergraph, lam, x) -> float:
     lam = complex(lam)
     k = h.k
     norm = max(abs(v) for v in vec) ** (k - 1)
-    worst = 0.0
-    for j in range(h.n):
-        total = 0j
-        for rest in h.link(j):
-            prod = 1 + 0j
-            for u in rest:
-                prod *= vec[u]
-            total += prod
-        worst = max(worst, abs(total - lam * vec[j] ** (k - 1)))
+    sums = _link_sums((h.link(j) for j in range(h.n)), vec)
+    worst = max(0.0, *(abs(s - lam * v ** (k - 1)) for s, v in zip(sums, vec)))
     return worst / max(1.0, norm)
 
 
@@ -124,15 +138,7 @@ def _lambda_max_connected(h: Hypergraph, tol: float, max_iter: int):
     inv = 1.0 / (k - 1)
     while iterations < max_iter:
         iterations += 1
-        ax = []
-        for j in range(n):
-            s = 0.0
-            for rest in links[j]:
-                prod = 1.0
-                for u in rest:
-                    prod *= x[u]
-                s += prod
-            ax.append(s)
+        ax = _link_sums(links, x)
         powers = [v ** (k - 1) for v in x]
         ratios = [a / p for a, p in zip(ax, powers)]
         lower = max(lower, min(ratios))
@@ -161,6 +167,8 @@ def lambda_max(h: Hypergraph, tol: float = 1e-8,
     """
     if tol <= 0:
         raise ValueError("tolerance must be positive")
+    if max_iter < 1:
+        raise ValueError("max_iter must be at least 1")
     if h.num_edges == 0:
         x = _uniform_unit_vector(h.n, h.k)
         return LambdaMaxReport(0.0, tuple(x), 0.0, 0.0, 0, True, 0.0)
@@ -215,14 +223,10 @@ class ColoringReport:
 
 def greedy_color(h: Hypergraph) -> ColoringReport:
     n = h.n
-    alive_edges = [set(e) for e in h.edges]
-    incident = [[] for _ in range(n)]
-    for idx, e in enumerate(h.edges):
-        for v in e:
-            incident[v].append(idx)
+    incidence = h.incidence
     removed = [False] * n
     edge_alive = [True] * len(h.edges)
-    degree = [len(incident[v]) for v in range(n)]
+    degree = [len(idxs) for idxs in incidence]
     order = []
     degeneracy = 0
     for _ in range(n):
@@ -231,16 +235,16 @@ def greedy_color(h: Hypergraph) -> ColoringReport:
         degeneracy = max(degeneracy, degree[v])
         order.append(v)
         removed[v] = True
-        for idx in incident[v]:
+        for idx in incidence[v]:
             if edge_alive[idx]:
                 edge_alive[idx] = False
-                for u in alive_edges[idx]:
+                for u in h.edges[idx]:
                     if not removed[u]:
                         degree[u] -= 1
     colors: dict = {}
     for v in reversed(order):
         forbidden = set()
-        for idx in incident[v]:
+        for idx in incidence[v]:
             others = [u for u in h.edges[idx] if u != v]
             if all(u in colors for u in others):
                 cs = {colors[u] for u in others}

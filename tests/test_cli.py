@@ -186,6 +186,12 @@ def test_usage_errors(capsys):
     assert code == 1 and "positive" in err
 
 
+def test_lambda_max_rejects_zero_iterations(capsys):
+    code, out, err = run(capsys, "lambda-max", "--family", "complete:n=4,k=3",
+                         "--max-iter", "0")
+    assert code == 1 and out == "" and "max_iter" in err
+
+
 def test_malformed_edge_list(capsys, tmp_path):
     path = tmp_path / "bad.hg"
     path.write_text("4 3\n1 2\n")

@@ -80,14 +80,21 @@ def test_tetra_degrees():
     assert h.degrees() == (2, Fraction(9, 4), 3)
 
 
-def test_link_and_eigen_system():
+def test_link_and_incidence():
     h = Hypergraph(4, 3, [(0, 1, 2), (0, 1, 3), (1, 2, 3)])
     assert h.link(0) == ((1, 2), (1, 3))
     assert h.link(3) == ((0, 1), (1, 2))
-    sys = h.eigen_system()
-    assert sys.n == 4 and sys.k == 3
-    assert sys.links[0] == ((1, 2), (1, 3))
-    assert sys.links[2] == ((0, 1), (1, 3))
+    assert h.link(2) == ((0, 1), (1, 3))
+    assert h.incidence == ((0, 1), (0, 1, 2), (0, 2), (1, 2))
+
+
+def test_degree_and_link_reject_out_of_range_vertices():
+    h = complete(4, 3)
+    for v in (-1, 4, 99):
+        with pytest.raises(ValueError):
+            h.degree(v)
+        with pytest.raises(ValueError):
+            h.link(v)
 
 
 def test_euler_link_identity():

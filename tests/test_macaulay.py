@@ -64,7 +64,7 @@ def _charpoly_by_power_sums(h):
     """phi from its power sums tr(N^d) - tr(N'^d) by Newton's identities,
     as an oracle that uses no determinant engine.
     """
-    mac = build_macaulay(h.eigen_system())
+    mac = build_macaulay(h)
     degree = h.n * (h.k - 1) ** (h.n - 1)
     keep = [i for i, red in enumerate(mac.reduced) if not red]
     keep_pos = {i: pos for pos, i in enumerate(keep)}
@@ -120,7 +120,7 @@ def test_int_determinant_random_vs_numpy():
 
 
 def test_build_shapes_single_edge():
-    mac = build_macaulay(single_edge(3).eigen_system())
+    mac = build_macaulay(single_edge(3))
     assert mac.size == math.comb(6, 2) == 15
     assert mac.reduced_count == 3 * 2 ** 2 == 12
     assert mac.max_row_sum == 1
@@ -132,7 +132,7 @@ def test_build_shapes_single_edge():
 def test_build_shapes_k2():
     # k=2 recovers the adjacency matrix: all monomials reduced
     path = Hypergraph(3, 2, [(0, 1), (1, 2)])
-    mac = build_macaulay(path.eigen_system())
+    mac = build_macaulay(path)
     assert mac.size == 3
     assert mac.reduced_count == 3
     got = {(r, c) for r, cols in enumerate(mac.rows) for c in cols}
@@ -142,7 +142,7 @@ def test_build_shapes_k2():
 
 def test_guard_raises_with_estimate():
     with pytest.raises(GuardError) as ei:
-        build_macaulay(complete(5, 4).eigen_system(), max_matrix_size=100)
+        build_macaulay(complete(5, 4), max_matrix_size=100)
     assert ei.value.estimate["matrix_size"] == math.comb(15, 4)
 
 

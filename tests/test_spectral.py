@@ -17,6 +17,7 @@ from hypergraph_spectra.hypergraphs import (
 from hypergraph_spectra.macaulay import charpoly
 from hypergraph_spectra.polynomials import UniPoly, numeric_roots, poly_residual
 from hypergraph_spectra.spectral import (
+    _link_sums,
     cartesian_eigenpair,
     complete3_spectrum,
     cylinder_spectrum,
@@ -113,6 +114,41 @@ def test_lambda_max_disconnected():
     assert all(v == 0 for v in rep.vector[:3])
     assert all(v > 0 for v in rep.vector[3:])
     assert rep.residual < 1e-9
+
+
+def test_lambda_max_rejects_zero_iterations():
+    with pytest.raises(ValueError):
+        lambda_max(complete(4, 3), max_iter=0)
+    with pytest.raises(ValueError):
+        lambda_max(Hypergraph(4, 3, []), max_iter=-1)
+
+
+def test_link_sums_match_hypermatrix():
+    # (A x^(k-1))_i sums x^t over ordered (k-1)-tuples t with (i,)+t an
+    # edge; each edge through i appears (k-1)! times
+    rng = random.Random(17)
+    for _ in range(30):
+        n = rng.randint(3, 7)
+        k = rng.randint(2, min(4, n))
+        pool = list(itertools.combinations(range(n), k))
+        h = Hypergraph(n, k, rng.sample(pool, rng.randint(1, len(pool))))
+        for v in range(n):
+            scan = tuple(j for j, e in enumerate(h.edges) if v in e)
+            assert h.incidence[v] == scan
+        comps = h.components()
+        if len(comps) == 1:
+            assert comps[0][0] is h and comps[0][1] == tuple(range(n))
+        x = [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(n)]
+        sums = _link_sums((h.link(v) for v in range(n)), x)
+        for i in range(n):
+            total = 0j
+            for t in itertools.product(range(n), repeat=k - 1):
+                if h.has_edge((i,) + t):
+                    total += math.prod(x[u] for u in t)
+            assert abs(sums[i] - total / math.factorial(k - 1)) < 1e-12
+    h = complete(5, 3)
+    assert h.components() == [(h, (0, 1, 2, 3, 4))]
+    assert h.components()[0][0] is h
 
 
 def test_degree_bounds_examples():
