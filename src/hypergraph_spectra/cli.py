@@ -198,6 +198,8 @@ def _cmd_coeffs(ns) -> int:
 def _cmd_traces(ns) -> int:
     h = _load(ns)
     cap = ns.max_codegree if ns.max_codegree is not None else h.k + 1
+    if cap < 0:
+        raise ValueError("max codegree must be nonnegative")
     values = [generalized_trace(h, d) for d in range(cap + 1)]
     if ns.format == "json":
         _emit_json({"n": h.n, "k": h.k,

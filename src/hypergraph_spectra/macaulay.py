@@ -180,7 +180,7 @@ def int_determinant(matrix) -> int:
 
 
 def _parallel_map(fn, items, threads):
-    if threads and threads > 1:
+    if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as ex:
             return list(ex.map(fn, items))
     return [fn(it) for it in items]
@@ -346,6 +346,8 @@ def charpoly(h: Hypergraph, *, threads: int = 1,
     components and the results are combined by the disjoint-union power
     identity, which avoids the much larger joint matrix.
     """
+    if threads < 1:
+        raise ValueError("threads must be at least 1")
     t_start = time.perf_counter()
     expected_degree = h.n * (h.k - 1) ** (h.n - 1)
     if decompose:

@@ -2,10 +2,10 @@
 
 Coefficients are arbitrary-precision Python integers; characteristic
 polynomials of even small hypergraphs have coefficients far beyond any fixed
-width.  Rationals (``fractions.Fraction``) appear transiently in exact
-evaluation at float points and in rounding coefficient ratios to floats.
-Floating point is confined to the numeric root finder and to residual
-estimates.
+width.  A root's residual comes from an exact evaluation at its binary
+value, done over the Gaussian integers; rationals (``fractions.Fraction``)
+appear only in rounding coefficient ratios to floats.  Floating point is
+confined to the numeric root finder and to residual estimates.
 """
 
 from __future__ import annotations
@@ -254,27 +254,6 @@ class UniPoly:
             acc *= point**prev
         return acc
 
-    def evaluate_complex_exact(self, z: complex):
-        """Evaluate at a complex point with exact rational arithmetic.
-
-        Returns (real, imag) as Fractions.  The float components of ``z``
-        are taken at their exact binary values, so the only error in the
-        result is whatever error ``z`` itself carries.
-        """
-        re, im = Fraction(z.real), Fraction(z.imag)
-        are, aim = Fraction(0), Fraction(0)
-        prev = None
-        for d in sorted(self._c, reverse=True):
-            if prev is not None:
-                for _ in range(prev - d):
-                    are, aim = are * re - aim * im, are * im + aim * re
-            are += self._c[d]
-            prev = d
-        if prev:
-            for _ in range(prev):
-                are, aim = are * re - aim * im, are * im + aim * re
-        return are, aim
-
     # -- formatting --------------------------------------------------------
 
     def __eq__(self, other):
@@ -373,10 +352,29 @@ def _poly_gcd(p: UniPoly, q: UniPoly) -> UniPoly:
             return UniPoly.one()
         divisor = g * h**delta
         a = b
-        b = UniPoly({d: v // divisor for d, v in rem.coefficients().items()})
+        b = UniPoly({d: _exact_div(v, divisor)
+                     for d, v in rem.coefficients().items()})
         g = a.leading_coefficient
-        h = (g**delta * h) // h**delta if delta else h
-        # the divisions above are exact by the subresultant theory
+        h = _exact_div(g**delta * h, h**delta) if delta else h
+
+
+def _exact_div(a: int, b: int) -> int:
+    """a / b, which the subresultant theory says is an integer."""
+    q, r = divmod(a, b)
+    if r:
+        raise ArithmeticError("inexact division in the subresultant gcd")
+    return q
+
+
+def _exact_quotient(p: UniPoly, q: UniPoly) -> UniPoly:
+    """p / q, which must be exact in Z[L]."""
+    try:
+        quot, rem = p.divide(q)
+    except ValueError:  # the quotient leaves the integers
+        rem = None
+    if rem != 0:
+        raise ArithmeticError("inexact polynomial division")
+    return quot
 
 
 def square_free_decomposition(p: UniPoly) -> list:
@@ -393,16 +391,16 @@ def square_free_decomposition(p: UniPoly) -> list:
     g = _poly_gcd(f, d)
     if g.degree == 0:
         return [(f, 1)]
-    c = f.divide(g)[0]
-    w = d.divide(g)[0] - c.derivative()
+    c = _exact_quotient(f, g)
+    w = _exact_quotient(d, g) - c.derivative()
     out = []
     i = 1
     while c.degree > 0:
         a = _poly_gcd(c, w)
         if a.degree > 0:
             out.append((a.primitive()[0], i))
-            c = c.divide(a)[0]
-            w = w.divide(a)[0]
+            c = _exact_quotient(c, a)
+            w = _exact_quotient(w, a)
         w = w - c.derivative()
         i += 1
     return out
@@ -418,16 +416,13 @@ _SQUAREFREE_BITS_LIMIT = 40000
 
 @dataclass
 class RootSet:
-    """Numeric roots with multiplicities and per-root residual bounds.
+    """Numeric roots with multiplicities and per-root residuals.
 
-    ``roots`` is a list of (value, multiplicity); ``residual_bounds`` holds
-    an upper bound on |p(root)| (exact-arithmetic evaluation at the stored
-    double-precision root); ``residuals`` are the same quantities normalized
-    by the weighted coefficient norm sum |c_i|*|root|^i.
+    ``roots`` is a list of (value, multiplicity); ``residuals[i]`` is
+    ``poly_residual`` at the i-th stored double-precision root.
     """
 
     roots: list
-    residual_bounds: list
     residuals: list
     method: str
     converged: bool = True
@@ -518,22 +513,26 @@ def _aberth(coeffs, tol=5e-15, max_iter=400):
     return z, converged
 
 
-def _log2_fraction(fr: Fraction) -> float:
-    if fr == 0:
-        return -math.inf
-    n, d = abs(fr.numerator), fr.denominator
-    def lg(v):
-        bl = v.bit_length()
-        top = v >> max(0, bl - 53)
-        return math.log2(top) + max(0, bl - 53)
-    return lg(n) - lg(d)
-
-
 def _log2_abs_eval(p: UniPoly, z: complex) -> float:
-    """log2 |p(z)| with exact rational evaluation."""
-    re, im = p.evaluate_complex_exact(z)
+    """log2 |p(z)|, evaluated exactly at z's binary value.
+
+    z = (a + b*i) / 2^s, so 2^(s*D) * p(z) = R + I*i is a Gaussian integer:
+    Horner over Z[i], with c_d shifted left by s*(D - d) bits.  Dropping the
+    power of two that reducing (R^2 + I^2) / 4^(s*D) would cancel keeps the
+    float equal to the one read off the reduced fraction.
+    """
+    (a, da), (b, db) = z.real.as_integer_ratio(), z.imag.as_integer_ratio()
+    den, top = max(da, db), p.degree
+    a, b, s = a * den // da, b * den // db, den.bit_length() - 1
+    re = im = 0
+    for d in range(top, -1, -1):
+        re, im = re * a - im * b + (p[d] << s * (top - d)), re * b + im * a
     v = re * re + im * im
-    return _log2_fraction(v) / 2.0 if v else -math.inf
+    if not v:
+        return -math.inf
+    t = min((v & -v).bit_length() - 1, 2 * s * top)
+    cut = max(0, v.bit_length() - t - 53)
+    return (math.log2(v >> (t + cut)) + cut - (2 * s * top - t)) / 2.0
 
 
 def _log2_weighted_norm(p: UniPoly, r: float) -> float:
@@ -550,13 +549,11 @@ def _log2_weighted_norm(p: UniPoly, r: float) -> float:
 
 def poly_residual(p: UniPoly, z: complex) -> float:
     """|p(z)| / sum_i |c_i||z|^i: backward-error style root residual."""
-    if p.is_zero:
-        return 0.0
-    num = _log2_abs_eval(p, complex(z))
-    den = _log2_weighted_norm(p, abs(complex(z)))
+    z = complex(z)
+    num = _log2_abs_eval(p, z)  # -inf at a root, and for p = 0
     if num == -math.inf:
         return 0.0
-    return 2.0 ** min(num - den, 64.0)
+    return 2.0 ** min(num - _log2_weighted_norm(p, abs(z)), 64.0)
 
 
 def numeric_roots(p: UniPoly, tol: float = 1e-9) -> RootSet:
@@ -572,14 +569,10 @@ def numeric_roots(p: UniPoly, tol: float = 1e-9) -> RootSet:
         raise ValueError("zero polynomial has no finite root set")
     if tol <= 0:
         raise ValueError("tolerance must be positive")
-    roots = []
-    r0 = min(p.coefficients()) if not p.is_zero else 0
-    if r0 > 0:
-        roots.append((0j, r0))
-        p_stripped = UniPoly({d - r0: v for d, v in p.coefficients().items()})
-    else:
-        p_stripped = p
-    q, _ = p_stripped.primitive()
+    r0 = min(p.coefficients())
+    roots = [(0j, r0)] if r0 else []
+    stripped = {d - r0: v for d, v in p.coefficients().items()}
+    q, _ = UniPoly(stripped).primitive()
     method = "aberth"
     converged = True
     if q.degree > 0:
@@ -609,15 +602,9 @@ def numeric_roots(p: UniPoly, tol: float = 1e-9) -> RootSet:
             collected = [(v, m) for v, m in clusters]
             method = "aberth+cluster"
         roots.extend(collected)
-    bounds = []
-    residuals = []
-    for v, _ in roots:
-        lg = _log2_abs_eval(p, v)
-        raw = 0.0 if lg == -math.inf else 2.0 ** min(lg, 1000.0)
-        bounds.append(raw * 4.0)
-        residuals.append(poly_residual(p, v))
-    rs = RootSet(roots=roots, residual_bounds=bounds, residuals=residuals,
-                 method=method, converged=converged)
+    residuals = [poly_residual(p, v) for v, _ in roots]
+    rs = RootSet(roots=roots, residuals=residuals, method=method,
+                 converged=converged)
     if rs.total_multiplicity != p.degree:
         raise ArithmeticError("root multiplicities do not sum to the degree")
     if not converged and method != "aberth+cluster":

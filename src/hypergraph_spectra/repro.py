@@ -365,11 +365,15 @@ def claim_ids(gate=None) -> list:
 
 
 def run_claims(ids, threads: int = 1) -> list:
+    """Run the claims in order; bad arguments raise before any claim runs."""
+    if threads < 1:
+        raise ValueError("threads must be at least 1")
     by_id = {cid: (cid, g, desc, fn) for cid, g, desc, fn in _REGISTRY}
+    unknown = [cid for cid in ids if cid not in by_id]
+    if unknown:
+        raise ValueError(f"unknown claim id {unknown[0]!r}")
     results = []
     for cid in ids:
-        if cid not in by_id:
-            raise ValueError(f"unknown claim id {cid!r}")
         cid, gate, desc, fn = by_id[cid]
         start = time.perf_counter()
         try:

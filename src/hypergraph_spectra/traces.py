@@ -217,6 +217,8 @@ def coefficients_via_traces(h: Hypergraph, max_codegree: int | None = None,
     cap = h.k + 1
     if max_codegree is None:
         max_codegree = cap
+    if max_codegree < 0:
+        raise ValueError("max codegree must be nonnegative")
     if max_codegree > cap and not allow_deep:
         raise ValueError(
             f"codegree {max_codegree} exceeds the default depth {cap}; "

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from hypergraph_spectra import repro
 from hypergraph_spectra.cli import main, parse_family
 from hypergraph_spectra.hypergraphs import (
     complete,
@@ -213,3 +214,34 @@ def test_repro_single_claim(capsys):
 def test_repro_unknown_claim(capsys):
     code, _, err = run(capsys, "repro", "--only", "no-such-claim")
     assert code == 1 and "unknown claim" in err
+
+
+def test_negative_codegree_cap_is_an_input_error(capsys):
+    for command, cap in (("traces", "-1"), ("coeffs", "-2")):
+        code, out, err = run(capsys, command, "--family", "complete:n=4,k=3",
+                             "--max-codegree", cap)
+        assert code == 1 and out == "" and "codegree" in err
+
+
+def test_threads_below_one_is_an_input_error(capsys, monkeypatch):
+    for threads in ("0", "-4"):
+        code, out, err = run(capsys, "charpoly", "--family", "single-edge",
+                             "--k", "3", "--threads", threads)
+        assert code == 1 and out == "" and "threads" in err
+    ran = []
+    monkeypatch.setattr(repro, "charpoly", lambda *a, **kw: ran.append(a))
+    code, out, err = run(capsys, "repro", "--only", "single-edge-charpoly-k2",
+                         "--threads", "0")
+    assert code == 1 and out == "" and "threads" in err
+    assert ran == []
+    with pytest.raises(ValueError):
+        repro.run_all(threads=-4)
+
+
+def test_repro_checks_every_claim_id_before_running(capsys, monkeypatch):
+    ran = []
+    monkeypatch.setattr(repro, "charpoly", lambda *a, **kw: ran.append(a))
+    code, out, err = run(capsys, "repro", "--only", "single-edge-charpoly-k2",
+                         "--only", "no-such-claim")
+    assert code == 1 and out == "" and "unknown claim" in err
+    assert ran == []

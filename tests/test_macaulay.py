@@ -265,6 +265,12 @@ def test_charpoly_threads_match():
         assert len(info["per_prime_s"]) == info["num_primes"]
 
 
+def test_charpoly_rejects_threads_below_one():
+    for threads in (0, -4):
+        with pytest.raises(ValueError, match="threads"):
+            charpoly(single_edge(3), threads=threads)
+
+
 def test_charpoly_checks_survive_python_O():
     # -O strips assert statements; the arithmetic checks must still run
     src = os.path.dirname(os.path.dirname(hypergraph_spectra.__file__))

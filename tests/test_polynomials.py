@@ -1,12 +1,15 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
+from hypergraph_spectra import polynomials
 from hypergraph_spectra.hypergraphs import Hypergraph
 from hypergraph_spectra.macaulay import charpoly
 from hypergraph_spectra.polynomials import (
     UniPoly,
+    _log2_abs_eval,
     enumerate_monomials,
     numeric_roots,
     poly_residual,
@@ -38,18 +41,56 @@ def test_evaluate_exact():
     p = UniPoly({3: 2, 1: -7, 0: 4})
     assert p.evaluate(0) == 4
     assert p.evaluate(3) == 2 * 27 - 21 + 4
-    from fractions import Fraction
-
     assert p.evaluate(Fraction(1, 2)) == Fraction(2, 8) - Fraction(7, 2) + 4
 
 
-def test_evaluate_complex_exact_matches_float():
-    p = UniPoly({4: 3, 2: -2, 1: 5, 0: 1})
-    z = 1.25 - 0.5j
-    re, im = p.evaluate_complex_exact(z)
-    direct = 3 * z**4 - 2 * z**2 + 5 * z + 1
-    assert math.isclose(float(re), direct.real, rel_tol=1e-12)
-    assert math.isclose(float(im), direct.imag, rel_tol=1e-12)
+def _log2_abs_reference(p, z):
+    """log2 |p(z)| by Fraction Horner at z's binary value, rounded from the
+    reduced fraction |p(z)|^2 as 53-bit log2(numerator) - log2(denominator)."""
+    x, y = Fraction(z.real), Fraction(z.imag)
+    re = im = Fraction(0)
+    for d in range(p.degree, -1, -1):
+        re, im = re * x - im * y + p[d], re * y + im * x
+    v = re * re + im * im
+    if v == 0:
+        return -math.inf
+
+    def lg(n):
+        cut = max(0, n.bit_length() - 53)
+        return math.log2(n >> cut) + cut
+
+    return (lg(v.numerator) - lg(v.denominator)) / 2.0
+
+
+def test_log2_abs_eval_matches_fraction_reference():
+    rng = random.Random(11)
+    points = [0j, 2.5 + 0j, 1.5j, complex(-0.0, 0.75), complex(0.3, -0.0),
+              complex(-0.0, -0.0), complex(5e-324, 1.0),
+              complex(-1.25, 2.0 ** -1070), complex(2.0 ** 61 + 2048, 3.0),
+              complex(-1e20, 7e19), 1.0 - 1.0j]
+    points += [complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
+               for _ in range(10)]
+    points += [complex(rng.randint(-8, 8) / 4, rng.randint(-8, 8) / 8)
+               for _ in range(10)]
+    for i in range(40):
+        # small coefficients leave |p(z)|^2 with under 53 significant bits
+        size = 10**30 if i % 2 else 3
+        p = UniPoly({d: rng.choice([0, rng.randint(-size, size)])
+                     for d in range(rng.randint(0, 12))})
+        if p.is_zero:
+            continue
+        for z in points:
+            assert _log2_abs_eval(p, z) == _log2_abs_reference(p, z), (p, z)
+
+
+def test_log2_abs_eval_is_exact_at_binary_roots():
+    # (2^s L - a)^2 + b^2 vanishes exactly at (a + b*i) / 2^s
+    for a, b, s in [(3, 5, 2), (-7, 0, 10), (0, 1, 1074), (2**70, -1, 0)]:
+        p = UniPoly({2: 4**s, 1: -2 * a * 2**s, 0: a * a + b * b})
+        z = complex(a / 2**s, b / 2**s)
+        assert _log2_abs_eval(p, z) == -math.inf
+        assert _log2_abs_eval(p * UniPoly({1: 1, 0: -9}), z) == -math.inf
+        assert _log2_abs_eval(p + 1, z) == 0.0
 
 
 def test_divide_exact_roundtrip():
@@ -123,6 +164,32 @@ def test_square_free_decomposition():
     assert by_mult[3] == UniPoly({1: 1, 0: -1})
     assert by_mult[2] == UniPoly({2: 1, 0: 1})
     assert by_mult[1] == UniPoly({1: 1, 0: 2})
+
+
+def test_square_free_decomposition_rejects_a_non_divisor(monkeypatch):
+    p = UniPoly({1: 1, 0: -1}) ** 2 * UniPoly({1: 1, 0: 2})
+    monkeypatch.setattr(polynomials, "_poly_gcd",
+                        lambda a, b: UniPoly({1: 1, 0: 3}))
+    with pytest.raises(ArithmeticError):
+        square_free_decomposition(p)
+    monkeypatch.setattr(polynomials, "_poly_gcd",
+                        lambda a, b: UniPoly({1: 2, 0: 1}))
+    with pytest.raises(ArithmeticError):
+        square_free_decomposition(p)
+
+
+def test_numeric_roots_evaluates_each_root_once(monkeypatch):
+    calls = []
+
+    def counting(p, z):
+        calls.append(z)
+        return _log2_abs_eval(p, z)
+
+    monkeypatch.setattr(polynomials, "_log2_abs_eval", counting)
+    # L^3 (L^3 - 1)^3: four distinct roots
+    rs = numeric_roots(UniPoly({3: 1}) * UniPoly({3: 1, 0: -1}) ** 3)
+    assert len(rs.roots) == 4
+    assert calls == [z for z, _ in rs.roots]
 
 
 def test_numeric_roots_cubic():

@@ -6,25 +6,53 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hypergraph_spectra.hypergraphs import Hypergraph
+from hypergraph_spectra.macaulay import charpoly
+from hypergraph_spectra.polynomials import numeric_roots, poly_residual
 from hypergraph_spectra.spectral import lambda_max
 
 
 @st.composite
-def relabelled_hypergraphs(draw):
-    """A random k-graph on 3..8 vertices and a permutation of its vertices."""
-    n = draw(st.integers(3, 8))
-    k = draw(st.integers(2, min(4, n)))
+def relabelled_hypergraphs(draw, max_n):
+    """A random k-graph on 3..max_n[k] vertices, for k a key of max_n,
+    and a permutation of its vertices."""
+    k = draw(st.sampled_from(sorted(max_n)))
+    n = draw(st.integers(max(3, k), max_n[k]))
     pool = list(itertools.combinations(range(n), k))
     edges = draw(st.lists(st.sampled_from(pool), unique=True))
     perm = draw(st.permutations(range(n)))
     return Hypergraph(n, k, edges), perm
 
 
+# phi has degree n(k-1)^(n-1): these caps keep it at 32 or below
+_EXACT_CASES = relabelled_hypergraphs({2: 8, 3: 4})
+
+
 @settings(max_examples=50, deadline=None)
-@given(relabelled_hypergraphs())
+@given(relabelled_hypergraphs({2: 8, 3: 8, 4: 8}))
 def test_relabelling_keeps_degrees_and_lambda_max(case):
     h, perm = case
     g = h.relabel(perm)
     assert g.degrees() == h.degrees()
     assert sorted(map(len, g.incidence)) == sorted(map(len, h.incidence))
     assert abs(lambda_max(g).value - lambda_max(h).value) <= 1e-9
+
+
+@settings(max_examples=50, deadline=None)
+@given(_EXACT_CASES)
+def test_charpoly_degree_and_relabelling(case):
+    h, perm = case
+    phi = charpoly(h).phi
+    assert phi.degree == h.n * (h.k - 1) ** (h.n - 1)
+    assert charpoly(h.relabel(perm)).phi == phi
+
+
+@settings(max_examples=50, deadline=None)
+@given(_EXACT_CASES)
+def test_lambda_max_is_the_largest_root_of_phi(case):
+    # the one link between the numeric layer and the exact one
+    h, _ = case
+    phi = charpoly(h).phi
+    lam = lambda_max(h).value
+    assert poly_residual(phi, lam) <= 1e-8
+    top = max(abs(z) for z, _ in numeric_roots(phi).roots)
+    assert abs(top - lam) <= 1e-6

@@ -145,6 +145,14 @@ def test_coefficients_depth_guard():
     assert got == [phi.coeff_at_codegree(c) for c in range(7)]
 
 
+def test_coefficients_reject_negative_codegree():
+    h = single_edge(3)
+    for cap in (-1, -5):
+        with pytest.raises(ValueError):
+            coefficients_via_traces(h, cap)
+    assert coefficients_via_traces(h, 0) == [1]
+
+
 def test_traces_match_macaulay_all_n4_graphs():
     pool = list(itertools.combinations(range(4), 3))
     for r in range(len(pool) + 1):
