@@ -175,7 +175,7 @@ def _cmd_charpoly(ns) -> int:
 def _cmd_coeffs(ns) -> int:
     h = _load(ns)
     cap = ns.max_codegree if ns.max_codegree is not None else h.k + 1
-    coeffs = coefficients_via_traces(h, cap, allow_deep=cap > h.k + 1)
+    coeffs = coefficients_via_traces(h, cap)
     implied = None
     if h == complete(h.k + 1, h.k) and cap >= h.k + 1:
         value, rem = divmod(coeffs[h.k + 1], -(h.k - 1))
@@ -234,8 +234,7 @@ def _cmd_spectrum(ns) -> int:
         })
     else:
         for v, d, r in zip(spec.values, spec.descriptions, spec.residuals):
-            res = "exact" if r is None else f"{r:.2e}"
-            print(f"{v.real:+.9f}{v.imag:+.9f}i  residual {res}  [{d}]")
+            print(f"{v.real:+.9f}{v.imag:+.9f}i  residual {r:.2e}  [{d}]")
     return 0
 
 

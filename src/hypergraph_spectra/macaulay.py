@@ -333,8 +333,7 @@ class CharPolyResult:
 
 
 def charpoly(h: Hypergraph, *, threads: int = 1,
-             max_matrix_size: int = _DEFAULT_MATRIX_GUARD,
-             decompose: bool = True) -> CharPolyResult:
+             max_matrix_size: int = _DEFAULT_MATRIX_GUARD) -> CharPolyResult:
     """Exact characteristic polynomial of a k-uniform hypergraph.
 
     phi = det(lambda*I - N) / det(lambda*I - N').  For each prime the
@@ -342,35 +341,42 @@ def charpoly(h: Hypergraph, *, threads: int = 1,
     phi's coefficients alone, and one more, held-out prime checks the
     result.  The primes cover the certificate |c_j| <= C(D, j)*Delta^j,
     which holds because every root of phi has modulus at most the maximum
-    degree Delta.  With decompose=True a disconnected input is split into
-    components and the results are combined by the disjoint-union power
-    identity, which avoids the much larger joint matrix.
+    degree Delta.  A disconnected input is split into components, each
+    with its own matrix and guard, and their polynomials are combined by
+    the disjoint-union power identity, which avoids the much larger joint
+    matrix.
     """
     if threads < 1:
         raise ValueError("threads must be at least 1")
     t_start = time.perf_counter()
+    comps = [sub for sub, _verts in h.components()]
+    if len(comps) == 1:
+        return _charpoly_direct(h, threads, max_matrix_size)
+    parts = []
+    phi = UniPoly.one()
+    for sub in comps:
+        res = _charpoly_direct(sub, threads, max_matrix_size)
+        parts.append(res)
+        phi = phi * res.phi ** ((h.k - 1) ** (h.n - sub.n))
     expected_degree = h.n * (h.k - 1) ** (h.n - 1)
-    if decompose:
-        comps = h.components()
-        if len(comps) > 1:
-            parts = []
-            phi = UniPoly.one()
-            for sub, _verts in comps:
-                res = charpoly(sub, threads=threads,
-                               max_matrix_size=max_matrix_size,
-                               decompose=False)
-                parts.append(res)
-                phi = phi * res.phi ** ((h.k - 1) ** (h.n - sub.n))
-            if phi.degree != expected_degree:
-                raise ArithmeticError(
-                    f"component product has degree {phi.degree}, "
-                    f"expected {expected_degree}")
-            return CharPolyResult(
-                phi=phi, method="disjoint",
-                matrix_size=sum(r.matrix_size for r in parts),
-                reduced_size=sum(r.reduced_size for r in parts),
-                timings={"total_s": time.perf_counter() - t_start},
-                components=parts)
+    if phi.degree != expected_degree:
+        raise ArithmeticError(
+            f"component product has degree {phi.degree}, "
+            f"expected {expected_degree}")
+    return CharPolyResult(
+        phi=phi, method="disjoint",
+        matrix_size=sum(r.matrix_size for r in parts),
+        reduced_size=sum(r.reduced_size for r in parts),
+        timings={"total_s": time.perf_counter() - t_start},
+        components=parts)
+
+
+def _charpoly_direct(h: Hypergraph, threads: int = 1,
+                     max_matrix_size: int = _DEFAULT_MATRIX_GUARD
+                     ) -> CharPolyResult:
+    """charpoly from h's own Macaulay matrix, connected or not."""
+    t_start = time.perf_counter()
+    expected_degree = h.n * (h.k - 1) ** (h.n - 1)
     mac = build_macaulay(h, max_matrix_size=max_matrix_size)
     t_build = time.perf_counter()
     # every row of N holds one 1 per edge at its vertex: max_row_sum = Delta

@@ -409,9 +409,10 @@ def square_free_decomposition(p: UniPoly) -> list:
 # -- numeric roots ------------------------------------------------------------
 
 # Yun's algorithm is skipped beyond these sizes and multiplicities fall back
-# to clustering.
+# to clustering, within a _CLUSTER_TOL^(1/degree)-scaled radius.
 _SQUAREFREE_DEGREE_LIMIT = 512
 _SQUAREFREE_BITS_LIMIT = 40000
+_CLUSTER_TOL = 1e-9
 
 
 @dataclass
@@ -556,19 +557,16 @@ def poly_residual(p: UniPoly, z: complex) -> float:
     return 2.0 ** min(num - _log2_weighted_norm(p, abs(z)), 64.0)
 
 
-def numeric_roots(p: UniPoly, tol: float = 1e-9) -> RootSet:
+def numeric_roots(p: UniPoly) -> RootSet:
     """All complex roots of p with multiplicities.
 
     The exact factor L^r is stripped first.  When the square-free
     decomposition is feasible (degree and coefficient-size limits), each
     square-free factor is solved by Aberth iteration and multiplicities are
-    exact; otherwise roots are clustered within a tol^(1/degree)-scaled
-    radius and multiplicities are estimates.
+    exact; otherwise roots are clustered and multiplicities are estimates.
     """
     if p.is_zero:
         raise ValueError("zero polynomial has no finite root set")
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
     r0 = min(p.coefficients())
     roots = [(0j, r0)] if r0 else []
     stripped = {d - r0: v for d, v in p.coefficients().items()}
@@ -590,7 +588,7 @@ def numeric_roots(p: UniPoly, tol: float = 1e-9) -> RootSet:
             collected.extend((v, mult) for v in vals)
         if not feasible:
             # multiplicity by clustering
-            radius = tol ** (1.0 / q.degree)
+            radius = _CLUSTER_TOL ** (1.0 / q.degree)
             clusters = []
             for v, _ in collected:
                 for c in clusters:

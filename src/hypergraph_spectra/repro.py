@@ -26,7 +26,7 @@ from .hypergraphs import (
     tetra_minus_face,
     ultracube,
 )
-from .macaulay import charpoly
+from .macaulay import _charpoly_direct, charpoly
 from .polynomials import UniPoly
 from .spectral import (
     cartesian_eigenpair,
@@ -266,7 +266,7 @@ def _c_cartesian(threads=1):
         "every cylinder_spectrum([2,2,2]) witness verifies at tol 1e-10")
 def _c_cyl222(threads=1):
     spec = cylinder_spectrum([2, 2, 2])
-    worst = max(r for r in spec.residuals if r is not None)
+    worst = max(spec.residuals)
     return "residuals <= 1e-10", \
         f"{len(spec.values)} values, worst {worst:.2e}", worst <= 1e-10
 
@@ -295,7 +295,7 @@ def _c_disjoint(threads=1):
     h = disjoint_union(single_edge(3), single_edge(3))
     want = single_edge_charpoly(3) ** 16
     factored = charpoly(h).phi
-    direct = charpoly(h, decompose=False, threads=threads).phi
+    direct = _charpoly_direct(h, threads).phi
     ok = want == factored == direct
     return _poly_repr(want), _poly_repr(direct), ok
 
@@ -350,11 +350,9 @@ def _c_q32(threads=1):
     h = ultracube(3, 2)
     got = charpoly(h, threads=threads, max_matrix_size=50000).phi
     want = _q32_printed_product()
-    if got == want:
-        return _poly_repr(want), _poly_repr(got), True
-    # report the discrepancy instead of asserting; the published product
-    # may differ from the computed polynomial
-    return _poly_repr(want), _poly_repr(got), False
+    # a mismatch is reported, not raised: the published product may differ
+    # from the computed polynomial
+    return _poly_repr(want), _poly_repr(got), got == want
 
 
 # -- runners -------------------------------------------------------------------------

@@ -43,6 +43,13 @@ __all__ = [
     "verify_eigenpair",
 ]
 
+# Slack of the bound checks and of the factor pairs cartesian_eigenpair
+# accepts; the guard on cylinder_spectrum's phase enumeration.
+_SANDWICH_TOL = 1e-6
+_MONOTONE_TOL = 1e-8
+_FACTOR_TOL = 1e-8
+_MAX_ASSIGNMENTS = 10 ** 6
+
 
 # -- eigenpair verification ----------------------------------------------------
 
@@ -124,13 +131,14 @@ def _uniform_unit_vector(n: int, k: int):
 
 
 def _lambda_max_connected(h: Hypergraph, tol: float, max_iter: int):
+    """(lower, upper, vector, iterations, converged) of the shifted power
+    iteration on a connected input."""
     n, k = h.n, h.k
     links = [h.link(v) for v in range(n)]
-    if h.num_edges == 0:
-        x = _uniform_unit_vector(n, k)
-        return LambdaMaxReport(0.0, tuple(x), 0.0, 0.0, 0, True, 0.0)
-    shift = float(max(len(lk) for lk in links))
     x = _uniform_unit_vector(n, k)
+    if h.num_edges == 0:
+        return 0.0, 0.0, x, 0, True
+    shift = float(max(len(lk) for lk in links))
     lower = -math.inf
     upper = math.inf
     iterations = 0
@@ -151,19 +159,17 @@ def _lambda_max_connected(h: Hypergraph, tol: float, max_iter: int):
         y = [(a + shift * p) ** inv for a, p in zip(ax, powers)]
         scale = sum(v ** k for v in y) ** (1.0 / k)
         x = [v / scale for v in y]
-    mid = 0.5 * (lower + upper)
-    return LambdaMaxReport(mid, tuple(x), lower, upper, iterations, converged,
-                           verify_eigenpair(h, mid, x))
+    return lower, upper, x, iterations, converged
 
 
 def lambda_max(h: Hypergraph, tol: float = 1e-8,
                max_iter: int = 100000) -> LambdaMaxReport:
     """Largest eigenvalue via shifted power iteration with certified bounds.
 
-    A connected input yields a strictly positive eigenvector.  Disconnected
-    inputs are decomposed; the report carries the winning component's vector
-    extended by zeros (still an exact eigenpair of the union) and the summed
-    iteration count.
+    Each component is iterated on its own, and a connected one yields a
+    strictly positive eigenvector.  The report carries the winning
+    component's vector extended by zeros (still an exact eigenpair of the
+    union) and the summed iteration count.
     """
     if tol <= 0:
         raise ValueError("tolerance must be positive")
@@ -172,35 +178,32 @@ def lambda_max(h: Hypergraph, tol: float = 1e-8,
     if h.num_edges == 0:
         x = _uniform_unit_vector(h.n, h.k)
         return LambdaMaxReport(0.0, tuple(x), 0.0, 0.0, 0, True, 0.0)
-    comps = h.components()
-    if len(comps) == 1:
-        return _lambda_max_connected(h, tol, int(max_iter))
     best = None
-    best_verts = None
     total_iter = 0
     all_converged = True
-    for sub, verts in comps:
-        rep = _lambda_max_connected(sub, tol, int(max_iter))
-        total_iter += rep.iterations
-        all_converged = all_converged and rep.converged
-        if best is None or rep.value > best.value:
-            best = rep
-            best_verts = verts
+    for sub, verts in h.components():
+        lower, upper, x, iters, conv = _lambda_max_connected(
+            sub, tol, int(max_iter))
+        total_iter += iters
+        all_converged = all_converged and conv
+        mid = 0.5 * (lower + upper)
+        if best is None or mid > best[0]:
+            best = mid, lower, upper, x, verts
+    mid, lower, upper, x, verts = best
     full = [0.0] * h.n
-    for i, v in enumerate(best_verts):
-        full[v] = best.vector[i]
-    return LambdaMaxReport(best.value, tuple(full), best.lower, best.upper,
-                           total_iter, all_converged,
-                           verify_eigenpair(h, best.value, full))
+    for i, v in enumerate(verts):
+        full[v] = x[i]
+    return LambdaMaxReport(mid, tuple(full), lower, upper, total_iter,
+                           all_converged, verify_eigenpair(h, mid, full))
 
 
-def degree_bounds_check(h: Hypergraph, tol: float = 1e-6):
+def degree_bounds_check(h: Hypergraph):
     """(average degree, lambda_max, max degree, pass) for the sandwich bound."""
     if h.num_edges == 0:
         return Fraction(0), 0.0, 0, True
     dmin, davg, dmax = h.degrees()
     lam = lambda_max(h).value
-    ok = float(davg) - tol <= lam <= dmax + tol
+    ok = float(davg) - _SANDWICH_TOL <= lam <= dmax + _SANDWICH_TOL
     return davg, lam, dmax, ok
 
 
@@ -263,11 +266,12 @@ def greedy_color(h: Hypergraph) -> ColoringReport:
 
 
 def subgraph_monotonicity_check(g: Hypergraph, h: Hypergraph,
-                                embedding=None, tol: float = 1e-8) -> bool:
-    """Check lambda_max(g) <= lambda_max(h) + tol for an embedded subgraph."""
+                                embedding=None) -> bool:
+    """Check lambda_max(g) <= lambda_max(h) + 1e-8 for an embedded
+    subgraph."""
     if not is_subgraph(g, h, embedding):
         raise ValueError("g does not embed into h along the given map")
-    return lambda_max(g).value <= lambda_max(h).value + tol
+    return lambda_max(g).value <= lambda_max(h).value + _MONOTONE_TOL
 
 
 # -- structured families ----------------------------------------------------------
@@ -295,8 +299,7 @@ class FamilySpectrum:
     """Eigenvalues of a structured family with verification witnesses.
 
     values are deduplicated; descriptions give the radical-times-root-of-
-    unity form; witnesses are explicit eigenvectors (None when a value is
-    listed without a constructed vector) and residuals come from
+    unity form; witnesses are explicit eigenvectors and residuals come from
     verify_eigenpair on those witnesses.
     """
 
@@ -319,8 +322,27 @@ def _dedup_key(z: complex):
     return (round(z.real, 9) + 0.0, round(z.imag, 9) + 0.0)
 
 
-def cylinder_spectrum(part_sizes, *, max_assignments: int = 10 ** 6,
-                      include_witnesses: bool = True) -> FamilySpectrum:
+class _Eigenpairs(dict):
+    """Verified eigenpairs of h by rounded value; the first one added for a
+    value is kept."""
+
+    def __init__(self, h: Hypergraph):
+        super().__init__()
+        self.h = h
+
+    def add(self, value, desc, witness):
+        key = _dedup_key(value)
+        if key not in self:
+            self[key] = (value, desc, verify_eigenpair(self.h, value, witness),
+                         tuple(witness))
+
+    def spectrum(self, family: str, note: str) -> FamilySpectrum:
+        vals, descs, ress, wits = zip(*self.values())
+        return FamilySpectrum(family=family, values=vals, descriptions=descs,
+                              residuals=ress, witnesses=wits, note=note)
+
+
+def cylinder_spectrum(part_sizes) -> FamilySpectrum:
     """Spectrum of the complete cylinder with the given part sizes.
 
     Nonzero values come from per-part phase sums: each vertex of part i
@@ -336,10 +358,10 @@ def cylinder_spectrum(part_sizes, *, max_assignments: int = 10 ** 6,
     total_assignments = 1
     for m in sizes:
         total_assignments *= math.comb(m + num_phases - 1, num_phases - 1)
-    if total_assignments > max_assignments:
+    if total_assignments > _MAX_ASSIGNMENTS:
         raise GuardError(
             f"{total_assignments} phase assignments exceed the guard",
-            {"assignments": total_assignments, "guard": max_assignments})
+            {"assignments": total_assignments, "guard": _MAX_ASSIGNMENTS})
     h = complete_cylinder(sizes)
     n = h.n
     groups = []
@@ -349,26 +371,19 @@ def cylinder_spectrum(part_sizes, *, max_assignments: int = 10 ** 6,
         base += m
     zeta = cmath.exp(2j * cmath.pi / num_phases) if num_phases > 1 else 1.0
     omega = cmath.exp(2j * cmath.pi / k)
-    found: dict = {}
-
-    def add(value, desc, witness):
-        key = _dedup_key(value)
-        if key in found:
-            return
-        res = verify_eigenpair(h, value, witness) if witness else None
-        found[key] = (value, desc, res, tuple(witness) if witness else None)
+    found = _Eigenpairs(h)
 
     # zero, with an exact witness
     if k >= 3:
         e0 = [0.0] * n
         e0[0] = 1.0
-        add(0j, "0", e0)
+        found.add(0j, "0", e0)
     elif n > 2:
         big = max(range(k), key=lambda i: sizes[i])
         w = [0.0] * n
         w[groups[big][0]] = 1.0
         w[groups[big][1]] = -1.0
-        add(0j, "0", w)
+        found.add(0j, "0", w)
 
     per_part_counts = [
         list(_count_vectors(m, num_phases)) for m in sizes
@@ -378,7 +393,7 @@ def cylinder_spectrum(part_sizes, *, max_assignments: int = 10 ** 6,
         for cvec in counts:
             s = 0j
             for r, c in enumerate(cvec):
-                s += c * (zeta ** r if num_phases > 1 else 1.0)
+                s += c * zeta ** r
             ms.append(s)
         if any(abs(m) < 1e-12 for m in ms):
             continue
@@ -389,32 +404,20 @@ def cylinder_spectrum(part_sizes, *, max_assignments: int = 10 ** 6,
         m_desc = ",".join(_fmt_complex(m) for m in ms)
         for t in range(k):
             lam = lam_base * omega ** t
-            key = _dedup_key(lam)
-            if key in found:
+            if _dedup_key(lam) in found:
                 continue
-            witness = None
-            if include_witnesses:
-                witness = [0j] * n
-                for i, (grp, cvec) in enumerate(zip(groups, counts)):
-                    mu = mus[i] * (omega ** t if i == 0 else 1.0)
-                    pos = 0
-                    for r, c in enumerate(cvec):
-                        for _ in range(c):
-                            phase = zeta ** r if num_phases > 1 else 1.0
-                            witness[grp[pos]] = phase * mu
-                            pos += 1
+            witness = [0j] * n
+            for i, (grp, cvec) in enumerate(zip(groups, counts)):
+                mu = mus[i] * (omega ** t if i == 0 else 1.0)
+                pos = 0
+                for r, c in enumerate(cvec):
+                    for _ in range(c):
+                        witness[grp[pos]] = zeta ** r * mu
+                        pos += 1
             desc = f"rot{t} of ({m_desc})^({k - 1}/{k})"
-            add(lam, desc, witness)
-    vals, descs, ress, wits = [], [], [], []
-    for value, desc, res, wit in found.values():
-        vals.append(value)
-        descs.append(desc)
-        ress.append(res)
-        wits.append(wit)
-    return FamilySpectrum(
-        family="complete_cylinder" + str(tuple(sizes)),
-        values=tuple(vals), descriptions=tuple(descs), residuals=tuple(ress),
-        witnesses=tuple(wits), note="transversal phase construction")
+            found.add(lam, desc, witness)
+    return found.spectrum("complete_cylinder" + str(tuple(sizes)),
+                          "transversal phase construction")
 
 
 def _count_vectors(total: int, bins: int):
@@ -445,24 +448,15 @@ def complete3_spectrum(n: int) -> FamilySpectrum:
     """
     if n < 3:
         raise ValueError("need n >= 3")
-    h = complete(n, 3)
-    found: dict = {}
-
-    def add(value, desc, witness):
-        key = _dedup_key(value)
-        if key in found:
-            return
-        res = verify_eigenpair(h, value, witness)
-        found[key] = (value, desc, res, tuple(witness))
-
+    found = _Eigenpairs(complete(n, 3))
     ones = [1.0] * n
-    add(complex(math.comb(n - 1, 2)), f"C({n - 1},2)", ones)
+    found.add(complex(math.comb(n - 1, 2)), f"C({n - 1},2)", ones)
     zeta3 = cmath.exp(2j * cmath.pi / 3)
     w1 = [1.0 + 0j, zeta3, zeta3 ** 2] + [0j] * (n - 3)
-    add(1 + 0j, "1", w1)
+    found.add(1 + 0j, "1", w1)
     e0 = [0.0] * n
     e0[0] = 1.0
-    add(0j, "0", e0)
+    found.add(0j, "0", e0)
     for t in range(1, n // 2 + 1):
         quartic = UniPoly({
             4: math.comb(t, 2),
@@ -475,31 +469,23 @@ def complete3_spectrum(n: int) -> FamilySpectrum:
             lam = (math.comb(t, 2) * c * c + t * (n - t - 1) * c
                    + math.comb(n - t - 1, 2))
             witness = [c] * t + [1.0 + 0j] * (n - t)
-            add(lam, f"t={t}, c={_fmt_complex(c)}", witness)
-    vals, descs, ress, wits = [], [], [], []
-    for value, desc, res, wit in found.values():
-        vals.append(value)
-        descs.append(desc)
-        ress.append(res)
-        wits.append(wit)
-    return FamilySpectrum(
-        family=f"complete({n},3)",
-        values=tuple(vals), descriptions=tuple(descs), residuals=tuple(ress),
-        witnesses=tuple(wits), note="two-valued vectors plus a quartic")
+            found.add(lam, f"t={t}, c={_fmt_complex(c)}", witness)
+    return found.spectrum(f"complete({n},3)",
+                          "two-valued vectors plus a quartic")
 
 
-def cartesian_eigenpair(g: Hypergraph, lam_g, u, h: Hypergraph, lam_h, v,
-                        *, tol: float = 1e-8) -> Eigenpair:
+def cartesian_eigenpair(g: Hypergraph, lam_g, u, h: Hypergraph, lam_h,
+                        v) -> Eigenpair:
     """Combine factor eigenpairs into one of the cartesian product.
 
     The product vector w_(a,b) = u_a * v_b carries eigenvalue lam_g + lam_h;
     vertex (a, b) has index a * h.n + b, matching cartesian_product.
     """
     res_g = verify_eigenpair(g, lam_g, u)
-    if res_g > tol:
+    if res_g > _FACTOR_TOL:
         raise ValueError(f"first factor pair fails verification ({res_g:.2e})")
     res_h = verify_eigenpair(h, lam_h, v)
-    if res_h > tol:
+    if res_h > _FACTOR_TOL:
         raise ValueError(f"second factor pair fails verification ({res_h:.2e})")
     w = [0j] * (g.n * h.n)
     for a in range(g.n):

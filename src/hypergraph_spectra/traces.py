@@ -52,24 +52,9 @@ def count_closed_arrangements(arcs) -> int:
         return 0
     order = sorted(verts)
     pos = {v: i for i, v in enumerate(order)}
-    # weak connectivity over the support
-    adj = [[] for _ in order]
-    for (a, b) in arcs:
-        adj[pos[a]].append(pos[b])
-        adj[pos[b]].append(pos[a])
-    seen = [False] * len(order)
-    stack = [0]
-    seen[0] = True
-    while stack:
-        v = stack.pop()
-        for u in adj[v]:
-            if not seen[u]:
-                seen[u] = True
-                stack.append(u)
-    if not all(seen):
-        return 0
     # arborescences toward order[0] via the directed matrix-tree minor;
-    # the digraph is Eulerian so the root does not matter
+    # the digraph is Eulerian so the root does not matter, and the minor
+    # vanishes when the digraph is not weakly connected
     t = len(order)
     if t == 1:
         trees = 1
@@ -205,24 +190,18 @@ def schur_coefficients(traces) -> list:
     return out
 
 
-def coefficients_via_traces(h: Hypergraph, max_codegree: int | None = None,
-                            *, allow_deep: bool = False) -> list:
+def coefficients_via_traces(h: Hypergraph,
+                            max_codegree: int | None = None) -> list:
     """Top coefficients [codegree 0..max_codegree] of the characteristic
     polynomial, computed from generalized traces.
 
-    Default depth is k+1, where the trace cost is still combinatorial in
-    max-degree only; deeper orders grow quickly, so they sit behind
-    allow_deep.
+    The default depth is k+1, where the trace cost is still combinatorial
+    in the maximum degree only; deeper orders grow quickly.
     """
-    cap = h.k + 1
     if max_codegree is None:
-        max_codegree = cap
+        max_codegree = h.k + 1
     if max_codegree < 0:
         raise ValueError("max codegree must be nonnegative")
-    if max_codegree > cap and not allow_deep:
-        raise ValueError(
-            f"codegree {max_codegree} exceeds the default depth {cap}; "
-            "pass allow_deep=True to force it")
     traces = [generalized_trace(h, d) for d in range(1, max_codegree + 1)]
     coeffs = schur_coefficients(traces)
     out = [1]

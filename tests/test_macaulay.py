@@ -22,6 +22,7 @@ from hypergraph_spectra.hypergraphs import (
     tetra_minus_face,
 )
 from hypergraph_spectra.macaulay import (
+    _charpoly_direct,
     build_macaulay,
     charpoly,
     int_determinant,
@@ -159,7 +160,7 @@ def test_charpoly_single_vertex():
 
 def test_charpoly_edgeless():
     h = Hypergraph(3, 3, [])
-    res = charpoly(h, decompose=False)
+    res = _charpoly_direct(h)
     assert res.phi == UniPoly({12: 1})
 
 
@@ -176,7 +177,7 @@ def test_charpoly_k2_exhaustive_n4():
     for bits in range(2 ** len(pool)):
         edges = [pool[i] for i in range(len(pool)) if bits >> i & 1]
         h = Hypergraph(4, 2, edges)
-        res = charpoly(h, decompose=False)
+        res = _charpoly_direct(h)
         assert res.phi == _charpoly_by_permanent_expansion(h)
 
 
@@ -186,7 +187,7 @@ def test_charpoly_k2_random_n6():
     for _ in range(10):
         edges = rng.sample(pool, rng.randint(0, len(pool)))
         h = Hypergraph(6, 2, edges)
-        res = charpoly(h, decompose=False)
+        res = _charpoly_direct(h)
         assert res.phi == _charpoly_by_permanent_expansion(h)
 
 
@@ -231,8 +232,8 @@ def test_charpoly_relabel_invariant():
 def test_charpoly_disjoint_union_identity():
     g = single_edge(3)
     u = disjoint_union(g, Hypergraph(1, 3, []))
-    via_components = charpoly(u, decompose=True)
-    direct = charpoly(u, decompose=False)
+    via_components = charpoly(u)
+    direct = _charpoly_direct(u)
     assert via_components.method == "disjoint"
     assert via_components.phi == direct.phi
     phi_e3 = UniPoly({3: 1}) * UniPoly({3: 1, 0: -1}) ** 3
@@ -247,7 +248,7 @@ def test_charpoly_codegree_closed_forms_random():
     for _ in range(6):
         edges = rng.sample(pool, rng.randint(1, 4))
         h = Hypergraph(4, 3, edges)
-        phi = charpoly(h, decompose=False).phi
+        phi = _charpoly_direct(h).phi
         assert phi.coeff_at_codegree(1) == 0
         assert phi.coeff_at_codegree(2) == 0
         k, n = 3, 4
@@ -293,7 +294,7 @@ def test_charpoly_certificate_covers_phi():
     graphs = [*_all_graphs(4, 3), *_all_graphs(4, 2), single_edge(4)]
     assert len(graphs) == 16 + 64 + 1
     for h in graphs:
-        res = charpoly(h, decompose=False)
+        res = _charpoly_direct(h)
         assert res.phi.max_coefficient_bits() == res.timings["phi_bits"]
         assert res.timings["phi_bits"] + 1 <= res.timings["predicted_bits"]
 
@@ -324,7 +325,7 @@ def _corrupt_one_prime(monkeypatch, prime, size):
     (complete(4, 2), "held-out prime"),
 ], ids=["3-graph", "2-graph"])
 def test_charpoly_checks_are_wired(monkeypatch, which, h, match):
-    res = charpoly(h, decompose=False)
+    res = _charpoly_direct(h)
     if which == "crt":
         prime = next(macaulay._primes_descending(
             macaulay._prime_bits_for(res.matrix_size)))
@@ -332,7 +333,7 @@ def test_charpoly_checks_are_wired(monkeypatch, which, h, match):
         prime = res.timings["modular_full"]["verification_prime"]
     _corrupt_one_prime(monkeypatch, prime, res.matrix_size)
     with pytest.raises(ArithmeticError, match=match):
-        charpoly(h, decompose=False)
+        _charpoly_direct(h)
 
 
 def test_no_assert_statements_in_src():

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from hypergraph_spectra import spectral
 from hypergraph_spectra.errors import GuardError
 from hypergraph_spectra.hypergraphs import (
     Hypergraph,
@@ -114,6 +115,22 @@ def test_lambda_max_disconnected():
     assert all(v == 0 for v in rep.vector[:3])
     assert all(v > 0 for v in rep.vector[3:])
     assert rep.residual < 1e-9
+
+
+def test_lambda_max_verifies_once(monkeypatch):
+    # one check, on the zero-padded vector of the whole input
+    calls = []
+    real = spectral.verify_eigenpair
+
+    def counted(h, lam, x):
+        calls.append(h.n)
+        return real(h, lam, x)
+
+    monkeypatch.setattr(spectral, "verify_eigenpair", counted)
+    h = disjoint_union(single_edge(3), complete(4, 3))
+    rep = lambda_max(h)
+    assert calls == [h.n]
+    assert rep.residual == real(h, rep.value, rep.vector)
 
 
 def test_lambda_max_rejects_zero_iterations():

@@ -11,7 +11,7 @@ from hypergraph_spectra.hypergraphs import (
     disjoint_union,
     single_edge,
 )
-from hypergraph_spectra.macaulay import charpoly
+from hypergraph_spectra.macaulay import _charpoly_direct, charpoly
 from hypergraph_spectra.traces import (
     coefficients_via_traces,
     count_closed_arrangements,
@@ -63,6 +63,9 @@ def test_closed_arrangements_rejects_unbalanced():
 def test_closed_arrangements_rejects_disconnected():
     arcs = {(0, 1): 1, (1, 0): 1, (2, 3): 1, (3, 2): 1}
     assert count_closed_arrangements(arcs) == 0
+    # a loop-only part, away from the root and at it
+    assert count_closed_arrangements({(0, 1): 1, (1, 0): 1, (2, 2): 1}) == 0
+    assert count_closed_arrangements({(0, 0): 2, (1, 2): 1, (2, 1): 1}) == 0
 
 
 def test_closed_arrangements_empty():
@@ -136,11 +139,10 @@ def test_coefficients_via_traces_matches_codegree_closed_forms():
     assert coeffs[4] == -42
 
 
-def test_coefficients_depth_guard():
+def test_coefficients_beyond_default_depth():
+    # the requested codegree is the only depth limit
     h = single_edge(3)
-    with pytest.raises(ValueError):
-        coefficients_via_traces(h, 6)
-    got = coefficients_via_traces(h, 6, allow_deep=True)
+    got = coefficients_via_traces(h, 6)
     phi = charpoly(h).phi
     assert got == [phi.coeff_at_codegree(c) for c in range(7)]
 
@@ -158,7 +160,7 @@ def test_traces_match_macaulay_all_n4_graphs():
     for r in range(len(pool) + 1):
         for edges in itertools.combinations(pool, r):
             h = Hypergraph(4, 3, edges)
-            phi = charpoly(h, decompose=False).phi
+            phi = _charpoly_direct(h).phi
             coeffs = coefficients_via_traces(h, 4)
             want = [phi.coeff_at_codegree(c) for c in range(5)]
             assert coeffs == want, f"edges={edges}"
@@ -187,6 +189,6 @@ def test_traces_match_random_n5():
     for _ in range(4):
         edges = rng.sample(pool, rng.randint(2, 6))
         h = Hypergraph(5, 3, edges)
-        phi = charpoly(h, decompose=False).phi
+        phi = _charpoly_direct(h).phi
         coeffs = coefficients_via_traces(h, 4)
         assert coeffs == [phi.coeff_at_codegree(c) for c in range(5)]
