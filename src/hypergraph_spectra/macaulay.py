@@ -13,6 +13,15 @@ polynomials of N and of its minor N' are divided modulo p, CRT rebuilds
 phi's coefficients, and a held-out prime checks the result.  The primes
 cover an a-priori certificate: every root of phi is an eigenvalue, so its
 modulus is at most the maximum degree Delta, which bounds each coefficient.
+
+N is never built densely.  Ordered by the strongly connected components of
+its digraph (Tarjan 1972; Duff and Reid 1978), N is block upper triangular,
+so its characteristic polynomial is the product of its diagonal blocks';
+the same holds for N' on the digraph induced on the rows it keeps.  A
+component of N whose rows are all kept is also one of N', so its factor
+cancels from the quotient and never reaches a kernel.  The remaining
+blocks are built densely and grouped by their bytes, and each prime runs
+one kernel per distinct block, raised to its multiplicity.
 """
 
 from __future__ import annotations
@@ -67,13 +76,6 @@ class MacaulayMatrix:
     @property
     def max_row_sum(self) -> int:
         return max((len(r) for r in self.rows), default=0)
-
-    def dense_n(self) -> np.ndarray:
-        mat = np.zeros((self.size, self.size), dtype=np.int64)
-        for r, cols in enumerate(self.rows):
-            for c in cols:
-                mat[r, c] = 1
-        return mat
 
 
 def build_macaulay(h: Hypergraph, *,
@@ -176,6 +178,84 @@ def int_determinant(matrix) -> int:
     return sign * prev
 
 
+# -- block split --------------------------------------------------------------
+
+
+def _strong_components(succ: dict) -> list:
+    """Strongly connected components of the digraph with an arc v -> w for
+    each w in succ[v] that is itself a key of succ.
+
+    Tarjan's algorithm with an explicit stack in place of recursion.  Each
+    component lists its vertices in ascending order; the components come
+    out in reverse topological order.
+    """
+    index, low, on_stack = {}, {}, set()
+    stack, work, out = [], [], []
+
+    def visit(v):
+        index[v] = low[v] = len(index)
+        stack.append(v)
+        on_stack.add(v)
+        work.append((v, iter(succ[v])))
+
+    for root in succ:
+        if root in index:
+            continue
+        visit(root)
+        while work:
+            v, arcs = work[-1]
+            for w in arcs:
+                if w not in succ:
+                    continue
+                if w not in index:
+                    visit(w)
+                    break
+                if w in on_stack:
+                    low[v] = min(low[v], index[w])
+            else:
+                work.pop()
+                if work:
+                    u = work[-1][0]
+                    low[u] = min(low[u], low[v])
+                if low[v] == index[v]:
+                    comp = []
+                    while not comp or comp[-1] != v:
+                        comp.append(stack.pop())
+                        on_stack.discard(comp[-1])
+                    out.append(sorted(comp))
+    return out
+
+
+def _group_blocks(rows, comps) -> list:
+    """[the dense 0/1 block of N on comp's rows and columns, multiplicity]
+    for each distinct block, told apart by its bytes."""
+    groups = {}
+    for comp in comps:
+        pos = {r: i for i, r in enumerate(comp)}
+        mat = np.zeros((len(comp), len(comp)), dtype=np.int64)
+        for i, r in enumerate(comp):
+            mat[i, [pos[c] for c in rows[r] if c in pos]] = 1
+        groups.setdefault(mat.tobytes(), [mat, 0])[1] += 1
+    return list(groups.values())
+
+
+def _diagonal_blocks(mac: MacaulayMatrix):
+    """The distinct diagonal blocks of N and N' that reach a kernel, as
+    lists of [dense block, multiplicity], and the block counts.  The
+    components of N with every row kept in N' cancel and are left out.
+    """
+    comps = _strong_components(dict(enumerate(mac.rows)))
+    live = [c for c in comps if any(mac.reduced[r] for r in c)]
+    kept = {r: mac.rows[r] for c in live for r in c if not mac.reduced[r]}
+    numer = _group_blocks(mac.rows, live)
+    denom = _group_blocks(mac.rows, _strong_components(kept))
+    stats = {"blocks": len(comps),
+             "largest_block": max(map(len, comps), default=0),
+             "cancelled_blocks": len(comps) - len(live),
+             "distinct_blocks": len(numer) + len(denom)}
+    return numer, denom, stats
+
+
 # -- phi modulo a prime, and CRT -----------------------------------------------
 
 
@@ -266,15 +346,33 @@ def _charpoly_mod_prime(mat: np.ndarray, p: int) -> np.ndarray:
     return out
 
 
-def _phi_mod_prime(full: np.ndarray, minor: np.ndarray, p: int):
-    """phi mod p, ascending: the charpoly of N divided by the monic charpoly
-    of N' mod p, where a nonzero remainder raises ArithmeticError.  Also
-    returns the seconds of the N kernel, the N' kernel and the division.
+def _block_product_mod_prime(groups, p: int) -> np.ndarray:
+    """Product mod p of the blocks' charpolys, each raised to its
+    multiplicity; one kernel per distinct block.  The factors' degrees sum
+    to at most the matrix size, which the prime size allows for.
+    """
+    out = np.ones(1, dtype=np.int64)
+    for mat, mult in groups:
+        base = _charpoly_mod_prime(mat, p)
+        while mult:
+            if mult & 1:
+                out = np.convolve(out, base) % p
+            mult >>= 1
+            if mult:
+                base = np.convolve(base, base) % p
+    return out
+
+
+def _phi_mod_prime(numer, denom, p: int):
+    """phi mod p, ascending: the product of N's block charpolys divided by
+    the monic product of N''s, where a nonzero remainder raises
+    ArithmeticError.  Also returns the seconds of the N kernels, the N'
+    kernels and the division.
     """
     t0 = time.perf_counter()
-    rem = _charpoly_mod_prime(full, p)
+    rem = _block_product_mod_prime(numer, p)
     t1 = time.perf_counter()
-    den = _charpoly_mod_prime(minor, p)
+    den = _block_product_mod_prime(denom, p)
     t2 = time.perf_counter()
     dd = len(den) - 1
     quot = np.zeros(len(rem) - dd, dtype=np.int64)
@@ -313,9 +411,14 @@ class CharPolyResult:
     and detMprime stay None: phi is rebuilt without either determinant.
     The timings of a direct result hold predicted_bits, the certified bound
     on phi's coefficient bits with the sign, beside phi_bits, the actual
-    bits; modular_full and modular_reduced list the N and N' kernel seconds
-    on each CRT prime (det_full_s and det_reduced_s sum them over every
-    prime, the held-out one included; divide_s sums the divisions mod p).
+    bits; modular_full and modular_reduced list the seconds of N's and N''s
+    block kernels and products on each CRT prime (det_full_s and
+    det_reduced_s sum them over every prime, the held-out one included;
+    divide_s sums the divisions mod p).  blocks counts the strongly
+    connected components of N, largest_block is the rows of the largest,
+    cancelled_blocks counts those shared with N', and distinct_blocks the
+    blocks of N and N' that reach a kernel on each prime; split_s is the
+    time to find and group them.
     """
 
     phi: UniPoly
@@ -336,15 +439,17 @@ def charpoly(h: Hypergraph, *, threads: int = 1,
              max_matrix_size: int = _DEFAULT_MATRIX_GUARD) -> CharPolyResult:
     """Exact characteristic polynomial of a k-uniform hypergraph.
 
-    phi = det(lambda*I - N) / det(lambda*I - N').  For each prime the
-    characteristic polynomials of N and N' are divided mod p; CRT rebuilds
-    phi's coefficients alone, and one more, held-out prime checks the
-    result.  The primes cover the certificate |c_j| <= C(D, j)*Delta^j,
-    which holds because every root of phi has modulus at most the maximum
-    degree Delta.  A disconnected input is split into components, each
-    with its own matrix and guard, and their polynomials are combined by
-    the disjoint-union power identity, which avoids the much larger joint
-    matrix.
+    phi = det(lambda*I - N) / det(lambda*I - N').  N and N' are split into
+    the diagonal blocks of their strongly connected components; the blocks
+    N and N' share cancel, and for each prime the products of the other
+    blocks' characteristic polynomials, one kernel per distinct block, are
+    divided mod p.  CRT rebuilds phi's coefficients alone, and one more,
+    held-out prime checks the result.  The primes cover the certificate
+    |c_j| <= C(D, j)*Delta^j, which holds because every root of phi has
+    modulus at most the maximum degree Delta.  A disconnected input is
+    split into components, each with its own matrix and guard, and their
+    polynomials are combined by the disjoint-union power identity, which
+    avoids the much larger joint matrix.
     """
     if threads < 1:
         raise ValueError("threads must be at least 1")
@@ -381,9 +486,8 @@ def _charpoly_direct(h: Hypergraph, threads: int = 1,
     t_build = time.perf_counter()
     # every row of N holds one 1 per edge at its vertex: max_row_sum = Delta
     bits = predicted_coefficient_bits(expected_degree, mac.max_row_sum)
-    full = mac.dense_n()
-    keep = [i for i, red in enumerate(mac.reduced) if not red]
-    minor = full[np.ix_(keep, keep)]
+    numer, denom, blocks = _diagonal_blocks(mac)
+    t_split = time.perf_counter()
     gen = _primes_descending(_prime_bits_for(mac.size))
     primes, total = [], 0.0
     while total < bits + 8:
@@ -391,7 +495,7 @@ def _charpoly_direct(h: Hypergraph, threads: int = 1,
         total += math.log2(primes[-1])
     check_prime = next(gen)
     residues, times = zip(*_parallel_map(
-        lambda p: _phi_mod_prime(full, minor, p), primes + [check_prime],
+        lambda p: _phi_mod_prime(numer, denom, p), primes + [check_prime],
         threads))
     lifted = _crt_symmetric(primes, residues[:-1])
     if any((c - int(v)) % check_prime for c, v in zip(lifted, residues[-1])):
@@ -403,7 +507,8 @@ def _charpoly_direct(h: Hypergraph, threads: int = 1,
             f"phi is not monic of degree {expected_degree}")
     full_s, minor_s, divide_s = zip(*times)
     info = {"num_primes": len(primes), "verification_prime": check_prime}
-    timings = {"build_s": t_build - t_start, "predicted_bits": bits,
+    timings = {"build_s": t_build - t_start, "split_s": t_split - t_build,
+               **blocks, "predicted_bits": bits,
                "phi_bits": phi.max_coefficient_bits(),
                "modular_full": dict(info, per_prime_s=list(full_s[:-1])),
                "modular_reduced": dict(info, per_prime_s=list(minor_s[:-1])),
@@ -411,4 +516,5 @@ def _charpoly_direct(h: Hypergraph, threads: int = 1,
                "divide_s": sum(divide_s),
                "total_s": time.perf_counter() - t_start}
     return CharPolyResult(phi=phi, method="modular", matrix_size=mac.size,
-                          reduced_size=len(keep), timings=timings)
+                          reduced_size=mac.size - mac.reduced_count,
+                          timings=timings)

@@ -3,7 +3,7 @@
 Each claim recomputes one published quantity and compares it against the
 expected value; the table is the single source for both the ``repro`` CLI
 subcommand and the acceptance test suite.  Claims are gated: ``default``
-claims run everywhere, ``slow`` ones take minutes, and ``stretch`` ones are
+claims run everywhere, ``slow`` ones take longer, and ``stretch`` ones are
 documented attempts that exceed a desktop budget.
 """
 

@@ -81,6 +81,11 @@ def verify_eigenpair(h: Hypergraph, lam, x) -> float:
     Returns max_j |sum over links(j) of x^e - lam * x_j^(k-1)|, divided by
     max(1, max_i |x_i|^(k-1)).
     """
+    return _eigen_residual(h, [h.link(j) for j in range(h.n)], lam, x)
+
+
+def _eigen_residual(h: Hypergraph, links, lam, x) -> float:
+    """verify_eigenpair with h's links already built."""
     vec = [complex(v) for v in x]
     if len(vec) != h.n:
         raise ValueError(f"vector has {len(vec)} entries for n={h.n}")
@@ -89,7 +94,7 @@ def verify_eigenpair(h: Hypergraph, lam, x) -> float:
     lam = complex(lam)
     k = h.k
     norm = max(abs(v) for v in vec) ** (k - 1)
-    sums = _link_sums((h.link(j) for j in range(h.n)), vec)
+    sums = _link_sums(links, vec)
     worst = max(0.0, *(abs(s - lam * v ** (k - 1)) for s, v in zip(sums, vec)))
     return worst / max(1.0, norm)
 
@@ -130,11 +135,10 @@ def _uniform_unit_vector(n: int, k: int):
     return [n ** (-1.0 / k)] * n
 
 
-def _lambda_max_connected(h: Hypergraph, tol: float, max_iter: int):
+def _lambda_max_connected(h: Hypergraph, links, tol: float, max_iter: int):
     """(lower, upper, vector, iterations, converged) of the shifted power
-    iteration on a connected input."""
+    iteration on a connected input whose links are given."""
     n, k = h.n, h.k
-    links = [h.link(v) for v in range(n)]
     x = _uniform_unit_vector(n, k)
     if h.num_edges == 0:
         return 0.0, 0.0, x, 0, True
@@ -181,9 +185,11 @@ def lambda_max(h: Hypergraph, tol: float = 1e-8,
     best = None
     total_iter = 0
     all_converged = True
-    for sub, verts in h.components():
+    comps = h.components()
+    for sub, verts in comps:
+        links = [sub.link(v) for v in range(sub.n)]
         lower, upper, x, iters, conv = _lambda_max_connected(
-            sub, tol, int(max_iter))
+            sub, links, tol, int(max_iter))
         total_iter += iters
         all_converged = all_converged and conv
         mid = 0.5 * (lower + upper)
@@ -193,8 +199,11 @@ def lambda_max(h: Hypergraph, tol: float = 1e-8,
     full = [0.0] * h.n
     for i, v in enumerate(verts):
         full[v] = x[i]
+    # a connected input is its own component: reuse the iteration's links
+    residual = (_eigen_residual(h, links, mid, full) if len(comps) == 1
+                else verify_eigenpair(h, mid, full))
     return LambdaMaxReport(mid, tuple(full), lower, upper, total_iter,
-                           all_converged, verify_eigenpair(h, mid, full))
+                           all_converged, residual)
 
 
 def degree_bounds_check(h: Hypergraph):

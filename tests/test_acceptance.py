@@ -51,7 +51,7 @@ def test_c04_trace_macaulay_agreement():
 @pytest.mark.slow
 def test_c05_simplex_constant_k4():
     """Codegree-5 coefficient of charpoly(complete(5,4)) over -3 equals 588;
-    exact; long-running (about two and a half minutes on two cores)."""
+    exact; the slowest claim (about twelve seconds on two cores)."""
     _check("5", ["simplex-constant-k4"], threads=os.cpu_count() or 1)
 
 

@@ -71,6 +71,22 @@ def test_charpoly_stderr_reports_bits(capsys):
     assert timings["predicted_bits"] == 11
 
 
+def test_charpoly_stderr_reports_cancelled_blocks(capsys, tmp_path):
+    # two 3-edges through one vertex, passed as one edge-list file; two
+    # disjoint 3-edges would be split into components, and the 15-row
+    # matrix of a single 3-edge has no block to cancel
+    path = tmp_path / "two-edges.hg"
+    path.write_text("5 3\n1 2 3\n3 4 5\n")
+    code, _, err = run(capsys, "charpoly", "--file", str(path))
+    assert code == 0
+    assert "method=modular size=210" in err
+    timings = json.loads(err.split("timings=", 1)[1])
+    assert timings["cancelled_blocks"] > 0
+    assert timings["largest_block"] < 210
+    assert timings["distinct_blocks"] < (timings["blocks"]
+                                         - timings["cancelled_blocks"])
+
+
 def test_charpoly_json_deterministic_across_threads(capsys):
     args = ["charpoly", "--family", "tetra-minus-face", "--format", "json"]
     code1, out1, _ = run(capsys, *args, "--threads", "1")

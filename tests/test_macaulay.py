@@ -8,6 +8,7 @@ import random
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import hypergraph_spectra
@@ -104,14 +105,10 @@ def test_int_determinant_small():
     # 4x4 with a zero diagonal, forces pivoting
     m = [[0, 1, 2, 3], [1, 0, 1, 2], [2, 1, 0, 1], [3, 2, 1, 0]]
     # cross-check against numpy rounding
-    import numpy as np
-
     assert int_determinant(m) == round(np.linalg.det(np.array(m, float)))
 
 
 def test_int_determinant_random_vs_numpy():
-    import numpy as np
-
     rng = random.Random(23)
     for _ in range(30):
         n = rng.randint(1, 6)
@@ -150,6 +147,35 @@ def test_guard_raises_with_estimate():
 def test_predicted_bits_monotone():
     assert predicted_coefficient_bits(10, 1) < predicted_coefficient_bits(10, 5)
     assert predicted_coefficient_bits(10, 3) < predicted_coefficient_bits(50, 3)
+
+
+def test_strong_components_cycle_tail_and_isolated_row():
+    # 0 -> 1 -> 2 -> 0 is a cycle, 3 -> 0 a tail into it, 4 is isolated;
+    # the arc 3 -> 9 leaves the digraph and is ignored
+    succ = {0: (1,), 1: (2,), 2: (0,), 3: (0, 9), 4: ()}
+    comps = macaulay._strong_components(succ)
+    assert sorted(comps) == [[0, 1, 2], [3], [4]]
+    # reverse topological order: the cycle closes before its tail
+    assert comps.index([0, 1, 2]) < comps.index([3])
+
+
+def test_one_by_one_block_contributes_lambda():
+    p = 101
+    zero = np.zeros((1, 1), dtype=np.int64)
+    assert macaulay._charpoly_mod_prime(zero, p).tolist() == [0, 1]
+    # a block of multiplicity 3 contributes lambda^3
+    prod = macaulay._block_product_mod_prime([[zero, 3]], p)
+    assert prod.tolist() == [0, 0, 0, 1]
+
+
+def test_two_disjoint_3edges_cancel_blocks():
+    res = _charpoly_direct(disjoint_union(single_edge(3), single_edge(3)))
+    t = res.timings
+    assert t["cancelled_blocks"] > 0
+    assert t["distinct_blocks"] < t["blocks"] - t["cancelled_blocks"]
+    assert t["largest_block"] < res.matrix_size
+    phi_e3 = UniPoly({3: 1}) * UniPoly({3: 1, 0: -1}) ** 3
+    assert res.phi == phi_e3 ** 16
 
 
 def test_charpoly_single_vertex():
@@ -305,12 +331,12 @@ def test_charpoly_primes_sized_from_phi():
     assert res.timings["modular_full"]["num_primes"] <= 10
 
 
-def _corrupt_one_prime(monkeypatch, prime, size):
+def _corrupt_one_prime(monkeypatch, prime, block):
     real = macaulay._charpoly_mod_prime
 
     def corrupted(mat, p):
         out = real(mat, p)
-        if p == prime and mat.shape[0] == size:
+        if p == prime and np.array_equal(mat, block):
             out[0] = (out[0] + 1) % p
         return out
 
@@ -331,7 +357,10 @@ def test_charpoly_checks_are_wired(monkeypatch, which, h, match):
             macaulay._prime_bits_for(res.matrix_size)))
     else:
         prime = res.timings["modular_full"]["verification_prime"]
-    _corrupt_one_prime(monkeypatch, prime, res.matrix_size)
+    # the largest block of N that reaches a kernel
+    numer, _, _ = macaulay._diagonal_blocks(build_macaulay(h))
+    block = max((mat for mat, _ in numer), key=len)
+    _corrupt_one_prime(monkeypatch, prime, block)
     with pytest.raises(ArithmeticError, match=match):
         _charpoly_direct(h)
 
