@@ -81,11 +81,11 @@ def verify_eigenpair(h: Hypergraph, lam, x) -> float:
     Returns max_j |sum over links(j) of x^e - lam * x_j^(k-1)|, divided by
     max(1, max_i |x_i|^(k-1)).
     """
-    return _eigen_residual(h, [h.link(j) for j in range(h.n)], lam, x)
+    return _eigen_residual(h, (h.link(j) for j in range(h.n)), lam, x)
 
 
 def _eigen_residual(h: Hypergraph, links, lam, x) -> float:
-    """verify_eigenpair with h's links already built."""
+    """verify_eigenpair with h's links, in vertex order, given."""
     vec = [complex(v) for v in x]
     if len(vec) != h.n:
         raise ValueError(f"vector has {len(vec)} entries for n={h.n}")

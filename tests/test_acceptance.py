@@ -87,7 +87,7 @@ def test_c10_ultracube_stretch():
     non-gating stretch run behind RUN_STRETCH=1."""
     _check("10-consistency", ["ultracube-q32-product-consistency"])
     if not os.environ.get("RUN_STRETCH"):
-        pytest.skip("direct matrix is 43758^2 (about 15 GB dense); "
+        pytest.skip("direct matrix has 43758 rows (about 3.5 min); "
                     "set RUN_STRETCH=1 to attempt the full computation")
     rows = repro.run_claims(["ultracube-q32-charpoly"],
                             threads=os.cpu_count() or 1)

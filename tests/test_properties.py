@@ -1,7 +1,6 @@
 """Property tests: invariants that must hold on every small k-graph."""
 
 import itertools
-
 import math
 
 import numpy as np
