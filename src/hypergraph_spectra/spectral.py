@@ -3,16 +3,24 @@ coloring, and closed-form spectra for structured families.
 
 Eigenpairs use the link form of the eigenvalue equations: at vertex j,
 sum over edges through j of the product of the other k-1 entries equals
-lambda * x_j^(k-1).
+lambda * x_j^(k-1).  lambda_max and verify_eigenpair evaluate those link
+sums over edge arrays: one row per (edge, position) pair, in edge order,
+holding the vertex and the edge's other k-1 vertices.  One gather and
+product per column and one np.bincount over the rows give every vertex's
+sum, added in edge order like a loop over its links, so the floats are the
+loop's.  greedy_color takes its smallest-last order from a heap.
 """
 
 from __future__ import annotations
 
 import cmath
+import heapq
 import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+
+import numpy as np
 
 from .errors import GuardError
 from .hypergraphs import (
@@ -54,25 +62,44 @@ _MAX_ASSIGNMENTS = 10 ** 6
 # -- eigenpair verification ----------------------------------------------------
 
 
-def _link_sums(links, x) -> list:
+def _edge_arrays(h: Hypergraph):
+    """(verts, others): the (edge, position) pairs of h as index arrays.
+
+    Row r = idx * k + p stands for vertex verts[r] = edges[idx][p], and
+    others[r] holds that edge's other k-1 vertices in ascending order, so the
+    rows of one vertex come in its ascending incidence order.
+    """
+    k = h.k
+    edges = np.array(h.edges, dtype=np.intp).reshape(-1, k)
+    drop = [[c for c in range(k) if c != p] for p in range(k)]
+    return edges.ravel(), edges[:, drop].reshape(-1, k - 1)
+
+
+def _link_sums(arrays, x, n: int) -> list:
     """For each vertex, the sum over its link of the product of x's entries.
 
-    The sums start from 0 and 1 in the type of x's entries (float or
-    complex): mixing in ints would give the same bits but keep the float
-    loop off its fast path.
+    The products are gathered column by column, left to right, and
+    np.bincount adds each vertex's terms in edge order starting from 0.0,
+    which is the order and the rounding of a loop over h.link(v).  Complex
+    products use CPython's formula on the real and imaginary parts, so the
+    sums carry the bits that Python complex arithmetic gives.
     """
-    one = x[0] ** 0
-    zero = one - one
-    sums = []
-    for link in links:
-        total = zero
-        for rest in link:
-            prod = one
-            for u in rest:
-                prod *= x[u]
-            total += prod
-        sums.append(total)
-    return sums
+    verts, others = arrays
+    xa = np.asarray(x)
+    if not np.iscomplexobj(xa):
+        prod = xa[others[:, 0]]
+        for c in range(1, others.shape[1]):
+            prod = prod * xa[others[:, c]]
+        # bincount of no terms is int zeros
+        return np.bincount(verts, prod, n).astype(float, copy=False).tolist()
+    xr, xi = xa.real, xa.imag
+    re, im = 1.0, 0.0
+    for c in range(others.shape[1]):
+        br, bi = xr[others[:, c]], xi[others[:, c]]
+        re, im = re * br - im * bi, re * bi + im * br
+    sums = np.bincount(verts, re, n).astype(complex)
+    sums.imag = np.bincount(verts, im, n)
+    return sums.tolist()
 
 
 def verify_eigenpair(h: Hypergraph, lam, x) -> float:
@@ -81,11 +108,11 @@ def verify_eigenpair(h: Hypergraph, lam, x) -> float:
     Returns max_j |sum over links(j) of x^e - lam * x_j^(k-1)|, divided by
     max(1, max_i |x_i|^(k-1)).
     """
-    return _eigen_residual(h, (h.link(j) for j in range(h.n)), lam, x)
+    return _eigen_residual(h, _edge_arrays(h), lam, x)
 
 
-def _eigen_residual(h: Hypergraph, links, lam, x) -> float:
-    """verify_eigenpair with h's links, in vertex order, given."""
+def _eigen_residual(h: Hypergraph, arrays, lam, x) -> float:
+    """verify_eigenpair with h's edge arrays given."""
     vec = [complex(v) for v in x]
     if len(vec) != h.n:
         raise ValueError(f"vector has {len(vec)} entries for n={h.n}")
@@ -94,7 +121,7 @@ def _eigen_residual(h: Hypergraph, links, lam, x) -> float:
     lam = complex(lam)
     k = h.k
     norm = max(abs(v) for v in vec) ** (k - 1)
-    sums = _link_sums(links, vec)
+    sums = _link_sums(arrays, vec, h.n)
     worst = max(0.0, *(abs(s - lam * v ** (k - 1)) for s, v in zip(sums, vec)))
     return worst / max(1.0, norm)
 
@@ -135,14 +162,17 @@ def _uniform_unit_vector(n: int, k: int):
     return [n ** (-1.0 / k)] * n
 
 
-def _lambda_max_connected(h: Hypergraph, links, tol: float, max_iter: int):
+def _lambda_max_connected(h: Hypergraph, arrays, tol: float, max_iter: int):
     """(lower, upper, vector, iterations, converged) of the shifted power
-    iteration on a connected input whose links are given."""
+    iteration on a connected input whose edge arrays are given.
+
+    The link sums are array work; the O(n) step arithmetic stays on Python
+    floats, since numpy's ** rounds some powers differently."""
     n, k = h.n, h.k
     x = _uniform_unit_vector(n, k)
     if h.num_edges == 0:
         return 0.0, 0.0, x, 0, True
-    shift = float(max(len(lk) for lk in links))
+    shift = float(np.bincount(arrays[0], minlength=n).max())
     lower = -math.inf
     upper = math.inf
     iterations = 0
@@ -150,7 +180,7 @@ def _lambda_max_connected(h: Hypergraph, links, tol: float, max_iter: int):
     inv = 1.0 / (k - 1)
     while iterations < max_iter:
         iterations += 1
-        ax = _link_sums(links, x)
+        ax = _link_sums(arrays, x, n)
         powers = [v ** (k - 1) for v in x]
         ratios = [a / p for a, p in zip(ax, powers)]
         lower = max(lower, min(ratios))
@@ -187,9 +217,9 @@ def lambda_max(h: Hypergraph, tol: float = 1e-8,
     all_converged = True
     comps = h.components()
     for sub, verts in comps:
-        links = [sub.link(v) for v in range(sub.n)]
+        arrays = _edge_arrays(sub)
         lower, upper, x, iters, conv = _lambda_max_connected(
-            sub, links, tol, int(max_iter))
+            sub, arrays, tol, int(max_iter))
         total_iter += iters
         all_converged = all_converged and conv
         mid = 0.5 * (lower + upper)
@@ -199,8 +229,8 @@ def lambda_max(h: Hypergraph, tol: float = 1e-8,
     full = [0.0] * h.n
     for i, v in enumerate(verts):
         full[v] = x[i]
-    # a connected input is its own component: reuse the iteration's links
-    residual = (_eigen_residual(h, links, mid, full) if len(comps) == 1
+    # a connected input is its own component: reuse the iteration's arrays
+    residual = (_eigen_residual(h, arrays, mid, full) if len(comps) == 1
                 else verify_eigenpair(h, mid, full))
     return LambdaMaxReport(mid, tuple(full), lower, upper, total_iter,
                            all_converged, residual)
@@ -223,8 +253,13 @@ def degree_bounds_check(h: Hypergraph):
 class ColoringReport:
     """Greedy weak coloring along a smallest-last elimination order.
 
-    colors maps each vertex to a positive integer; no edge ends up with all
-    vertices the same color; count <= degeneracy + 1.
+    The order removes, at each step, the vertex of least degree among the
+    edges still alive, the smaller label on ties.  A heap of (degree,
+    vertex) entries picks it: each degree drop pushes a new entry, which
+    sorts before the vertex's stale ones, so the first entry popped for a
+    vertex is current and later ones are skipped as removed.  colors maps
+    each vertex to a positive integer; no edge ends up with all vertices the
+    same color; count <= degeneracy + 1.
     """
 
     colors: dict
@@ -239,12 +274,15 @@ def greedy_color(h: Hypergraph) -> ColoringReport:
     removed = [False] * n
     edge_alive = [True] * len(h.edges)
     degree = [len(idxs) for idxs in incidence]
+    heap = [(d, v) for v, d in enumerate(degree)]
+    heapq.heapify(heap)
     order = []
     degeneracy = 0
     for _ in range(n):
-        v = min((u for u in range(n) if not removed[u]),
-                key=lambda u: (degree[u], u))
-        degeneracy = max(degeneracy, degree[v])
+        d, v = heapq.heappop(heap)
+        while removed[v]:
+            d, v = heapq.heappop(heap)
+        degeneracy = max(degeneracy, d)
         order.append(v)
         removed[v] = True
         for idx in incidence[v]:
@@ -253,6 +291,7 @@ def greedy_color(h: Hypergraph) -> ColoringReport:
                 for u in h.edges[idx]:
                     if not removed[u]:
                         degree[u] -= 1
+                        heapq.heappush(heap, (degree[u], u))
     colors: dict = {}
     for v in reversed(order):
         forbidden = set()

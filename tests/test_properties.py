@@ -4,7 +4,7 @@ import itertools
 import math
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hypergraph_spectra import macaulay
@@ -15,7 +15,11 @@ from hypergraph_spectra.macaulay import (
     predicted_coefficient_bits,
 )
 from hypergraph_spectra.polynomials import UniPoly, numeric_roots, poly_residual
-from hypergraph_spectra.spectral import lambda_max
+from hypergraph_spectra.spectral import (
+    greedy_color,
+    lambda_max,
+    verify_eigenpair,
+)
 
 
 @st.composite
@@ -42,6 +46,77 @@ def test_relabelling_keeps_degrees_and_lambda_max(case):
     assert g.degrees() == h.degrees()
     assert sorted(map(len, g.incidence)) == sorted(map(len, h.incidence))
     assert abs(lambda_max(g).value - lambda_max(h).value) <= 1e-9
+
+
+@settings(max_examples=50, deadline=None)
+@given(relabelled_hypergraphs({2: 8, 3: 8, 4: 8}))
+def test_lambda_max_sandwich_enclosure_and_residual(case):
+    # connected and disconnected inputs alike
+    h, _ = case
+    rep = lambda_max(h)
+    _, davg, dmax = h.degrees()
+    assert float(davg) - 1e-6 <= rep.value <= dmax + 1e-6
+    assert rep.lower <= rep.value <= rep.upper
+    assert verify_eigenpair(h, rep.value, rep.vector) == rep.residual
+
+
+def _min_scan_coloring(h):
+    """(order, degeneracy, colors) of a smallest-last order found by an
+    O(n^2) min scan, then the greedy pass: the reference for greedy_color's
+    heap."""
+    n = h.n
+    removed = [False] * n
+    edge_alive = [True] * len(h.edges)
+    degree = [len(idxs) for idxs in h.incidence]
+    order = []
+    degeneracy = 0
+    for _ in range(n):
+        v = min((u for u in range(n) if not removed[u]),
+                key=lambda u: (degree[u], u))
+        degeneracy = max(degeneracy, degree[v])
+        order.append(v)
+        removed[v] = True
+        for idx in h.incidence[v]:
+            if edge_alive[idx]:
+                edge_alive[idx] = False
+                for u in h.edges[idx]:
+                    if not removed[u]:
+                        degree[u] -= 1
+    colors = {}
+    for v in reversed(order):
+        forbidden = set()
+        for idx in h.incidence[v]:
+            others = [u for u in h.edges[idx] if u != v]
+            if all(u in colors for u in others):
+                cs = {colors[u] for u in others}
+                if len(cs) == 1:
+                    forbidden.add(next(iter(cs)))
+        c = 1
+        while c in forbidden:
+            c += 1
+        colors[v] = c
+    return tuple(order), degeneracy, colors
+
+
+@st.composite
+def graphs_with_isolated_vertices(draw):
+    """A random k-graph, k = 2..4, on at most 12 vertices, whose edges
+    avoid a drawn number of them, under a random relabelling."""
+    k = draw(st.integers(2, 4))
+    n = draw(st.integers(k, 12))
+    active = draw(st.integers(k, n))
+    pool = list(itertools.combinations(range(active), k))
+    edges = draw(st.lists(st.sampled_from(pool), unique=True, max_size=40))
+    return Hypergraph(n, k, edges).relabel(draw(st.permutations(range(n))))
+
+
+@settings(max_examples=100, deadline=None)
+@given(graphs_with_isolated_vertices())
+# a 6-cycle: every degree ties at every step
+@example(Hypergraph(6, 2, [(i, (i + 1) % 6) for i in range(6)]))
+def test_greedy_color_matches_the_min_scan(h):
+    rep = greedy_color(h)
+    assert (rep.order, rep.degeneracy, rep.colors) == _min_scan_coloring(h)
 
 
 @settings(max_examples=50, deadline=None)

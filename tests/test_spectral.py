@@ -18,6 +18,7 @@ from hypergraph_spectra.hypergraphs import (
 from hypergraph_spectra.macaulay import charpoly
 from hypergraph_spectra.polynomials import UniPoly, numeric_roots, poly_residual
 from hypergraph_spectra.spectral import (
+    _edge_arrays,
     _link_sums,
     cartesian_eigenpair,
     complete3_spectrum,
@@ -156,7 +157,7 @@ def test_link_sums_match_hypermatrix():
         if len(comps) == 1:
             assert comps[0][0] is h and comps[0][1] == tuple(range(n))
         x = [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(n)]
-        sums = _link_sums((h.link(v) for v in range(n)), x)
+        sums = _link_sums(_edge_arrays(h), x, n)
         for i in range(n):
             total = 0j
             for t in itertools.product(range(n), repeat=k - 1):
@@ -166,6 +167,46 @@ def test_link_sums_match_hypermatrix():
     h = complete(5, 3)
     assert h.components() == [(h, (0, 1, 2, 3, 4))]
     assert h.components()[0][0] is h
+
+
+def _link_loop(h, x):
+    """The link sums as a loop over h.link(v): the reference the edge
+    arrays must match bit for bit."""
+    one = x[0] ** 0
+    zero = one - one
+    sums = []
+    for v in range(h.n):
+        total = zero
+        for rest in h.link(v):
+            prod = one
+            for u in rest:
+                prod *= x[u]
+            total += prod
+        sums.append(total)
+    return sums
+
+
+def test_link_sums_match_the_link_loop_bit_for_bit():
+    rng = random.Random(29)
+    # signed zeros and exact values among the random ones
+    specials = [0.0, -0.0, 1.0, -1.0, 0.5]
+
+    def entry():
+        return (rng.choice(specials) if rng.random() < 0.3
+                else rng.uniform(-2, 2))
+
+    for k in (2, 3, 4):
+        for _ in range(20):
+            n = rng.randint(k, 9)
+            pool = list(itertools.combinations(range(n), k))
+            h = Hypergraph(n, k, rng.sample(pool, rng.randint(0, len(pool))))
+            arrays = _edge_arrays(h)
+            real = [entry() for _ in range(n)]
+            cplx = [complex(entry(), entry()) for _ in range(n)]
+            for x in (real, cplx):
+                sums = _link_sums(arrays, x, n)
+                assert type(sums[0]) is type(x[0])
+                assert repr(sums) == repr(_link_loop(h, x))
 
 
 def test_degree_bounds_examples():
