@@ -153,8 +153,7 @@ def _cmd_gen(ns) -> int:
 
 def _cmd_charpoly(ns) -> int:
     h = _load(ns)
-    result = charpoly(h, threads=ns.threads,
-                      max_matrix_size=ns.max_matrix_size)
+    result = charpoly(h)
     timings = {key: round(val, 6) if isinstance(val, float) else val
                for key, val in result.timings.items()}
     print(f"method={result.method} size={result.matrix_size} "
@@ -326,12 +325,8 @@ def _cmd_family(ns) -> int:
 
 
 def _cmd_repro(ns) -> int:
-    if ns.only:
-        rows = repro.run_claims(ns.only, threads=ns.threads)
-    else:
-        rows = repro.run_all(include_slow=ns.include_slow,
-                             include_stretch=ns.include_stretch,
-                             threads=ns.threads)
+    rows = (repro.run_claims(ns.only) if ns.only
+            else repro.run_all(ns.include_slow, ns.include_stretch))
     if ns.format == "json":
         _emit_json([{
             "claim": r.claim_id, "gate": r.gate,
@@ -361,8 +356,6 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("charpoly", help="exact characteristic polynomial")
     _add_input_flags(p)
-    p.add_argument("--threads", type=int, default=1)
-    p.add_argument("--max-matrix-size", type=int, default=4000)
     p.set_defaults(fn=_cmd_charpoly)
 
     p = sub.add_parser("coeffs",
@@ -411,7 +404,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--include-slow", action="store_true")
     p.add_argument("--include-stretch", action="store_true")
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--only", action="append", metavar="CLAIM_ID",
                    help="run a single claim (repeatable)")
     p.set_defaults(fn=_cmd_repro)
@@ -432,6 +424,8 @@ def main(argv=None) -> int:
         return ns.fn(ns)
     except (ValueError, GuardError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        if isinstance(exc, GuardError):
+            print(json.dumps(exc.estimate, sort_keys=True), file=sys.stderr)
         return 1
 
 

@@ -6,10 +6,10 @@ __all__ = ["GuardError", "EdgeListFormatError"]
 
 
 class GuardError(RuntimeError):
-    """A job was refused because its predicted size exceeds a guard.
+    """A job was refused because its predicted cost exceeds a budget.
 
-    Carries a human-readable estimate so callers can decide whether to raise
-    the guard and retry.
+    estimate holds the predicted figures and the budgets they were checked
+    against, so a caller can report what the job would have cost.
     """
 
     def __init__(self, message: str, estimate: dict | None = None):

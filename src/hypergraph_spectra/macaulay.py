@@ -20,15 +20,16 @@ so its characteristic polynomial is the product of its diagonal blocks';
 the same holds for N' on the digraph induced on the rows it keeps.  A
 component of N whose rows are all kept is also one of N', so its factor
 cancels from the quotient and never reaches a kernel.  The remaining
-blocks are built densely and grouped by their bytes, and each prime runs
-one kernel per distinct block, raised to its multiplicity.
+blocks are grouped by their sparsity pattern, only the distinct ones are
+made dense, and each prime runs one kernel per distinct block, raised to
+its multiplicity.  Guards refuse a job on its predicted bytes and kernel
+operations before either is spent.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -46,7 +47,10 @@ __all__ = [
     "predicted_coefficient_bits",
 ]
 
-_DEFAULT_MATRIX_GUARD = 4000
+# The guards' budgets.  A kernel on an s-row block takes about s^3
+# operations, 1.6-1.9e8 a second on one core: 1e12 is about 1.5-1.7 h.
+_MAX_BYTES = 1 << 30
+_MAX_KERNEL_OPS = 10 ** 12
 
 
 @dataclass
@@ -78,23 +82,24 @@ class MacaulayMatrix:
         return max((len(r) for r in self.rows), default=0)
 
 
-def build_macaulay(h: Hypergraph, *,
-                   max_matrix_size: int = _DEFAULT_MATRIX_GUARD) -> MacaulayMatrix:
-    """Assemble the Macaulay matrix of a hypergraph's eigenvalue system."""
+def build_macaulay(h: Hypergraph) -> MacaulayMatrix:
+    """Assemble the Macaulay matrix of a hypergraph's eigenvalue system.
+
+    GuardError refuses, before any monomial is enumerated, a build and
+    split predicted to take more than _MAX_BYTES.
+    """
     n, k = h.n, h.k
     big_d = n * (k - 1) - n + 1
     size = math.comb(n * (k - 1), n - 1)
-    if size > max_matrix_size:
-        est = {
-            "matrix_size": size,
-            "charpoly_degree": n * (k - 1) ** (n - 1),
-            "dense_bytes": size * size * 8,
-            "max_matrix_size": max_matrix_size,
-        }
+    # per row: the monomial, its index entry, Delta columns and the split's
+    # bookkeeping (tracemalloc measures 250-750 bytes)
+    nbytes = size * (600 + 8 * n + 40 * max(map(len, h.incidence), default=0))
+    if nbytes > _MAX_BYTES:
         raise GuardError(
-            f"Macaulay matrix would be {size} x {size} "
-            f"(guard is {max_matrix_size}); pass a larger max_matrix_size "
-            "to proceed", est)
+            f"the {size}-row Macaulay matrix would take {nbytes >> 20} MiB "
+            f"(budget {_MAX_BYTES >> 20} MiB)",
+            {"matrix_size": size, "predicted_bytes": nbytes,
+             "max_bytes": _MAX_BYTES, "max_kernel_ops": _MAX_KERNEL_OPS})
     monomials = enumerate_monomials(n, big_d)
     if len(monomials) != size:
         raise ArithmeticError(
@@ -226,44 +231,65 @@ def _strong_components(succ: dict) -> list:
     return out
 
 
-def _group_blocks(rows, comps) -> list:
-    """[the dense 0/1 block of N on comp's rows and columns, multiplicity]
-    for each distinct block, told apart by its bytes."""
+def _group_blocks(rows, comps) -> dict:
+    """{pattern: multiplicity} over the diagonal blocks of N on each comp's
+    rows and columns; a pattern lists each row's local columns, ascending.
+    """
     groups = {}
     for comp in comps:
         pos = {r: i for i, r in enumerate(comp)}
-        mat = np.zeros((len(comp), len(comp)), dtype=np.int64)
-        for i, r in enumerate(comp):
-            mat[i, [pos[c] for c in rows[r] if c in pos]] = 1
-        groups.setdefault(mat.tobytes(), [mat, 0])[1] += 1
-    return list(groups.values())
+        pattern = tuple(tuple(sorted(pos[c] for c in rows[r] if c in pos))
+                        for r in comp)
+        groups[pattern] = groups.get(pattern, 0) + 1
+    return groups
 
 
-def _diagonal_blocks(mac: MacaulayMatrix):
+def _dense(groups) -> list:
+    """[dense 0/1 block, multiplicity] for each pattern in groups."""
+    out = []
+    for pattern, mult in groups.items():
+        mat = np.zeros((len(pattern), len(pattern)), dtype=np.int64)
+        for i, cols in enumerate(pattern):
+            mat[i, list(cols)] = 1
+        out.append([mat, mult])
+    return out
+
+
+def _diagonal_blocks(mac: MacaulayMatrix, primes: int = 1):
     """The distinct diagonal blocks of N and N' that reach a kernel, as
     lists of [dense block, multiplicity], and the block counts.  The
     components of N with every row kept in N' cancel and are left out.
+    GuardError refuses, before any block is made dense, blocks predicted to
+    take more than _MAX_BYTES, or _MAX_KERNEL_OPS over this many primes.
     """
     comps = _strong_components(dict(enumerate(mac.rows)))
     live = [c for c in comps if any(mac.reduced[r] for r in c)]
     kept = {r: mac.rows[r] for c in live for r in c if not mac.reduced[r]}
     numer = _group_blocks(mac.rows, live)
     denom = _group_blocks(mac.rows, _strong_components(kept))
+    sizes = [len(pattern) for pattern in [*numer, *denom]]
+    top = max(sizes, default=0)
+    # the dense blocks, then the kernel's copy, table and two temporaries
+    est = {"predicted_bytes": 8 * (sum(s * s for s in sizes) + 4 * top ** 2),
+           "predicted_ops": primes * sum(s ** 3 for s in sizes),
+           "max_bytes": _MAX_BYTES, "max_kernel_ops": _MAX_KERNEL_OPS,
+           "largest_block": top, "distinct_blocks": len(sizes),
+           "primes": primes}
+    if est["predicted_bytes"] > _MAX_BYTES or \
+            est["predicted_ops"] > _MAX_KERNEL_OPS:
+        raise GuardError(
+            f"{len(sizes)} distinct blocks of up to {top} rows on {primes} "
+            f"primes would take {est['predicted_ops']:.2g} kernel operations "
+            f"and {est['predicted_bytes'] >> 20} MiB (budgets "
+            f"{_MAX_KERNEL_OPS:.2g} and {_MAX_BYTES >> 20} MiB)", est)
     stats = {"blocks": len(comps),
              "largest_block": max(map(len, comps), default=0),
              "cancelled_blocks": len(comps) - len(live),
              "distinct_blocks": len(numer) + len(denom)}
-    return numer, denom, stats
+    return _dense(numer), _dense(denom), stats
 
 
 # -- phi modulo a prime, and CRT -----------------------------------------------
-
-
-def _parallel_map(fn, items, threads):
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            return list(ex.map(fn, items))
-    return [fn(it) for it in items]
 
 
 def _is_prime(q: int) -> bool:
@@ -435,8 +461,7 @@ class CharPolyResult:
         return self.phi.degree
 
 
-def charpoly(h: Hypergraph, *, threads: int = 1,
-             max_matrix_size: int = _DEFAULT_MATRIX_GUARD) -> CharPolyResult:
+def charpoly(h: Hypergraph) -> CharPolyResult:
     """Exact characteristic polynomial of a k-uniform hypergraph.
 
     phi = det(lambda*I - N) / det(lambda*I - N').  N and N' are split into
@@ -449,18 +474,17 @@ def charpoly(h: Hypergraph, *, threads: int = 1,
     modulus at most the maximum degree Delta.  A disconnected input is
     split into components, each with its own matrix and guard, and their
     polynomials are combined by the disjoint-union power identity, which
-    avoids the much larger joint matrix.
+    avoids the much larger joint matrix.  GuardError refuses a job whose
+    predicted bytes or kernel operations exceed the module's budgets.
     """
-    if threads < 1:
-        raise ValueError("threads must be at least 1")
     t_start = time.perf_counter()
     comps = [sub for sub, _verts in h.components()]
     if len(comps) == 1:
-        return _charpoly_direct(h, threads, max_matrix_size)
+        return _charpoly_direct(h)
     parts = []
     phi = UniPoly.one()
     for sub in comps:
-        res = _charpoly_direct(sub, threads, max_matrix_size)
+        res = _charpoly_direct(sub)
         parts.append(res)
         phi = phi * res.phi ** ((h.k - 1) ** (h.n - sub.n))
     expected_degree = h.n * (h.k - 1) ** (h.n - 1)
@@ -476,27 +500,24 @@ def charpoly(h: Hypergraph, *, threads: int = 1,
         components=parts)
 
 
-def _charpoly_direct(h: Hypergraph, threads: int = 1,
-                     max_matrix_size: int = _DEFAULT_MATRIX_GUARD
-                     ) -> CharPolyResult:
+def _charpoly_direct(h: Hypergraph) -> CharPolyResult:
     """charpoly from h's own Macaulay matrix, connected or not."""
     t_start = time.perf_counter()
     expected_degree = h.n * (h.k - 1) ** (h.n - 1)
-    mac = build_macaulay(h, max_matrix_size=max_matrix_size)
+    mac = build_macaulay(h)
     t_build = time.perf_counter()
     # every row of N holds one 1 per edge at its vertex: max_row_sum = Delta
     bits = predicted_coefficient_bits(expected_degree, mac.max_row_sum)
-    numer, denom, blocks = _diagonal_blocks(mac)
-    t_split = time.perf_counter()
     gen = _primes_descending(_prime_bits_for(mac.size))
     primes, total = [], 0.0
     while total < bits + 8:
         primes.append(next(gen))
         total += math.log2(primes[-1])
     check_prime = next(gen)
-    residues, times = zip(*_parallel_map(
-        lambda p: _phi_mod_prime(numer, denom, p), primes + [check_prime],
-        threads))
+    numer, denom, blocks = _diagonal_blocks(mac, len(primes) + 1)
+    t_split = time.perf_counter()
+    residues, times = zip(*(_phi_mod_prime(numer, denom, p)
+                            for p in primes + [check_prime]))
     lifted = _crt_symmetric(primes, residues[:-1])
     if any((c - int(v)) % check_prime for c, v in zip(lifted, residues[-1])):
         raise ArithmeticError(

@@ -10,6 +10,7 @@ documented attempts that exceed a desktop budget.
 from __future__ import annotations
 
 import cmath
+import functools
 import hashlib
 import itertools
 import math
@@ -74,36 +75,25 @@ def _poly_repr(p: UniPoly) -> str:
 # -- closed-form characteristic polynomials --------------------------------------
 
 
-def _single_edge_claim(k, threads):
+def _single_edge_claim(k):
     want = single_edge_charpoly(k)
-    got = charpoly(single_edge(k), threads=threads).phi
+    got = charpoly(single_edge(k)).phi
     return _poly_repr(want), _poly_repr(got), want == got
 
 
-@_claim("single-edge-charpoly-k2", "default",
-        "charpoly of one 2-edge equals its closed form")
-def _c_edge2(threads=1):
-    return _single_edge_claim(2, threads)
-
-
-@_claim("single-edge-charpoly-k3", "default",
-        "charpoly of one 3-edge equals L^3(L^3-1)^3")
-def _c_edge3(threads=1):
-    return _single_edge_claim(3, threads)
-
-
-@_claim("single-edge-charpoly-k4", "default",
-        "charpoly of one 4-edge equals L^44(L^4-1)^16")
-def _c_edge4(threads=1):
-    return _single_edge_claim(4, threads)
+for _k, _form in ((2, "its closed form"), (3, "L^3(L^3-1)^3"),
+                  (4, "L^44(L^4-1)^16")):
+    _claim(f"single-edge-charpoly-k{_k}", "default",
+           f"charpoly of one {_k}-edge equals {_form}")(
+        functools.partial(_single_edge_claim, _k))
 
 
 @_claim("tetra-minus-face-charpoly", "default",
         "charpoly of the tetrahedron minus one face")
-def _c_tetra(threads=1):
+def _c_tetra():
     want = (UniPoly({3: 1, 0: -12})
             * UniPoly({6: 1, 3: -2, 0: 5}) ** 3).shift(11)
-    got = charpoly(tetra_minus_face(), threads=threads).phi
+    got = charpoly(tetra_minus_face()).phi
     return _poly_repr(want), _poly_repr(got), want == got
 
 
@@ -135,25 +125,25 @@ def _all_n4_3graphs():
 @_claim("codegree-identities-n4-exhaustive", "default",
         "codegrees 1,2 vanish; codegree 3 = -3*2^(n-3)*|E|; "
         "codegree 4 = -21*2^(n-3)*simplices, all sixteen 3-graphs on n=4")
-def _c_ident4(threads=1):
+def _c_ident4():
     good = total = 0
     for h in _all_n4_3graphs():
         total += 1
-        if _codegree_identities(h, charpoly(h, threads=threads).phi):
+        if _codegree_identities(h, charpoly(h).phi):
             good += 1
     return f"{total}/{total} graphs", f"{good}/{total} graphs", good == total
 
 
 @_claim("codegree-identities-n5-random", "default",
         "same coefficient identities on twenty random 3-graphs with n=5")
-def _c_ident5(threads=1):
+def _c_ident5():
     rng = random.Random(50305)
     pool = list(itertools.combinations(range(5), 3))
     good = 0
     for _ in range(20):
         edges = rng.sample(pool, rng.randint(1, len(pool)))
         h = Hypergraph(5, 3, edges)
-        if _codegree_identities(h, charpoly(h, threads=threads).phi):
+        if _codegree_identities(h, charpoly(h).phi):
             good += 1
     return "20/20 graphs", f"{good}/20 graphs", good == 20
 
@@ -161,11 +151,11 @@ def _c_ident5(threads=1):
 @_claim("trace-macaulay-agreement-n4", "default",
         "trace-derived coefficients equal charpoly coefficients through "
         "codegree 4 on all sixteen 3-graphs with n=4")
-def _c_traces(threads=1):
+def _c_traces():
     good = total = 0
     for h in _all_n4_3graphs():
         total += 1
-        phi = charpoly(h, threads=threads).phi
+        phi = charpoly(h).phi
         via = coefficients_via_traces(h, 4)
         if all(phi.coeff_at_codegree(cd) == via[cd] for cd in range(5)):
             good += 1
@@ -174,8 +164,8 @@ def _c_traces(threads=1):
 
 @_claim("simplex-constant-k4", "slow",
         "codegree-5 coefficient of charpoly(complete(5,4)) over -3 is 588")
-def _c_simplex4(threads=1):
-    phi = charpoly(complete(5, 4), threads=threads).phi
+def _c_simplex4():
+    phi = charpoly(complete(5, 4)).phi
     c5 = phi.coeff_at_codegree(5)
     got, rem = divmod(c5, -3)
     if rem:
@@ -188,7 +178,7 @@ def _c_simplex4(threads=1):
 
 @_claim("lambda-max-complete-3graphs", "default",
         "lambda_max(complete(n,3)) = C(n-1,2) within 1e-8 for n=4,5,6")
-def _c_lmax_complete(threads=1):
+def _c_lmax_complete():
     worst = 0.0
     for n in (4, 5, 6):
         rep = lambda_max(complete(n, 3))
@@ -198,7 +188,7 @@ def _c_lmax_complete(threads=1):
 
 @_claim("lambda-max-bipartite-cylinders", "default",
         "lambda_max(complete_cylinder([m,n])) = sqrt(mn) within 1e-8")
-def _c_lmax_cyl(threads=1):
+def _c_lmax_cyl():
     worst = 0.0
     for m, n in ((2, 3), (3, 3), (1, 5)):
         rep = lambda_max(complete_cylinder([m, n]))
@@ -218,7 +208,7 @@ def _random_3graph(rng, n, connected):
 @_claim("lambda-max-degree-sandwich", "default",
         "average degree <= lambda_max <= max degree on 100 random "
         "connected 3-graphs, n <= 8")
-def _c_sandwich(threads=1):
+def _c_sandwich():
     rng = random.Random(271828)
     good = 0
     for _ in range(100):
@@ -236,7 +226,7 @@ def _c_sandwich(threads=1):
 @_claim("ultracube-sporadic-3-2", "default",
         "(2^(1/3), piecewise vector) verifies on the 9-vertex ultracube "
         "at tol 1e-10")
-def _c_sporadic(threads=1):
+def _c_sporadic():
     pair = ultracube_sporadic(3, 2)
     ok = (pair.residual <= 1e-10
           and abs(pair.value - 2 ** (1 / 3)) <= 1e-12)
@@ -246,7 +236,7 @@ def _c_sporadic(threads=1):
 @_claim("cartesian-pairs-single-edge", "default",
         "all 16 spectrum pairs of one 3-edge combine into verified "
         "eigenpairs of the product at tol 1e-10")
-def _c_cartesian(threads=1):
+def _c_cartesian():
     e3 = single_edge(3)
     zeta = cmath.exp(2j * cmath.pi / 3)
     members = [(0, [1, 0, 0])]
@@ -264,7 +254,7 @@ def _c_cartesian(threads=1):
 
 @_claim("cylinder-2-2-2-witnesses", "default",
         "every cylinder_spectrum([2,2,2]) witness verifies at tol 1e-10")
-def _c_cyl222(threads=1):
+def _c_cyl222():
     spec = cylinder_spectrum([2, 2, 2])
     worst = max(spec.residuals)
     return "residuals <= 1e-10", \
@@ -277,8 +267,8 @@ def _c_cyl222(threads=1):
 @_claim("cylinder-codegree-symmetry", "default",
         "charpolys of complete_cylinder([1,1,2]) and of two disjoint "
         "3-edges are supported on codegrees 0 mod 3")
-def _c_symmetry(threads=1):
-    a = charpoly(complete_cylinder([1, 1, 2]), threads=threads).phi
+def _c_symmetry():
+    a = charpoly(complete_cylinder([1, 1, 2])).phi
     b = charpoly(disjoint_union(single_edge(3), single_edge(3))).phi
     ok = root_of_unity_symmetry(a, 3) and root_of_unity_symmetry(b, 3)
     return "both supported on codegrees 0 mod 3", \
@@ -291,11 +281,11 @@ def _c_symmetry(threads=1):
 @_claim("disjoint-union-factorization", "default",
         "direct Macaulay charpoly of two disjoint 3-edges equals "
         "(L^3(L^3-1)^3)^16")
-def _c_disjoint(threads=1):
+def _c_disjoint():
     h = disjoint_union(single_edge(3), single_edge(3))
     want = single_edge_charpoly(3) ** 16
     factored = charpoly(h).phi
-    direct = _charpoly_direct(h, threads).phi
+    direct = _charpoly_direct(h).phi
     ok = want == factored == direct
     return _poly_repr(want), _poly_repr(direct), ok
 
@@ -306,7 +296,7 @@ def _c_disjoint(threads=1):
 @_claim("greedy-color-bound", "default",
         "greedy weak coloring is proper and uses at most floor(lambda_max)+1 "
         "colors on 100 random 3-graphs, n <= 8")
-def _c_color(threads=1):
+def _c_color():
     rng = random.Random(161803)
     good = 0
     for _ in range(100):
@@ -335,7 +325,7 @@ def _q32_printed_product() -> UniPoly:
 @_claim("ultracube-q32-product-consistency", "default",
         "the published charpoly factorization of the 2-dim 3-ultracube has "
         "the right degree and 0 mod 3 codegree support")
-def _c_q32_consistency(threads=1):
+def _c_q32_consistency():
     p = _q32_printed_product()
     want = 9 * 2 ** 8
     ok = p.degree == want and root_of_unity_symmetry(p, 3)
@@ -346,9 +336,9 @@ def _c_q32_consistency(threads=1):
 @_claim("ultracube-q32-charpoly", "stretch",
         "direct charpoly of the 2-dim 3-ultracube matches the published "
         "product; matrix size 43758 is far beyond a desktop budget")
-def _c_q32(threads=1):
+def _c_q32():
     h = ultracube(3, 2)
-    got = charpoly(h, threads=threads, max_matrix_size=50000).phi
+    got = charpoly(h).phi
     want = _q32_printed_product()
     # a mismatch is reported, not raised: the published product may differ
     # from the computed polynomial
@@ -362,10 +352,8 @@ def claim_ids(gate=None) -> list:
     return [cid for cid, g, _, _ in _REGISTRY if gate is None or g == gate]
 
 
-def run_claims(ids, threads: int = 1) -> list:
-    """Run the claims in order; bad arguments raise before any claim runs."""
-    if threads < 1:
-        raise ValueError("threads must be at least 1")
+def run_claims(ids) -> list:
+    """Run the claims in order; an unknown id raises before any claim runs."""
     by_id = {cid: (cid, g, desc, fn) for cid, g, desc, fn in _REGISTRY}
     unknown = [cid for cid in ids if cid not in by_id]
     if unknown:
@@ -375,7 +363,7 @@ def run_claims(ids, threads: int = 1) -> list:
         cid, gate, desc, fn = by_id[cid]
         start = time.perf_counter()
         try:
-            expected, computed, match = fn(threads=threads)
+            expected, computed, match = fn()
         except Exception as exc:
             expected, computed, match = "completes", f"error: {exc}", False
         results.append(ClaimResult(cid, gate, desc, expected, computed,
@@ -384,13 +372,7 @@ def run_claims(ids, threads: int = 1) -> list:
     return results
 
 
-def run_all(include_slow: bool = False, include_stretch: bool = False,
-            threads: int = 1) -> list:
-    wanted = []
-    for cid, gate, _, _ in _REGISTRY:
-        if gate == "slow" and not include_slow:
-            continue
-        if gate == "stretch" and not include_stretch:
-            continue
-        wanted.append(cid)
-    return run_claims(wanted, threads=threads)
+def run_all(include_slow: bool = False, include_stretch: bool = False) -> list:
+    skip = {"slow": not include_slow, "stretch": not include_stretch}
+    return run_claims([cid for cid, gate, _, _ in _REGISTRY
+                       if not skip.get(gate)])

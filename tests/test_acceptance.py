@@ -13,8 +13,8 @@ import pytest
 from hypergraph_spectra import repro
 
 
-def _check(criterion: str, ids, threads: int = 1):
-    rows = repro.run_claims(ids, threads=threads)
+def _check(criterion: str, ids):
+    rows = repro.run_claims(ids)
     ok = all(r.match for r in rows)
     detail = "; ".join(
         f"{r.claim_id} [{r.computed}] {r.seconds:.2f}s" for r in rows)
@@ -51,8 +51,8 @@ def test_c04_trace_macaulay_agreement():
 @pytest.mark.slow
 def test_c05_simplex_constant_k4():
     """Codegree-5 coefficient of charpoly(complete(5,4)) over -3 equals 588;
-    exact; the slowest claim (about twelve seconds on two cores)."""
-    _check("5", ["simplex-constant-k4"], threads=os.cpu_count() or 1)
+    exact; the slowest claim (15-20 seconds on one core)."""
+    _check("5", ["simplex-constant-k4"])
 
 
 def test_c06_lambda_max_values_and_sandwich():
@@ -89,8 +89,7 @@ def test_c10_ultracube_stretch():
     if not os.environ.get("RUN_STRETCH"):
         pytest.skip("direct matrix has 43758 rows (about 3.5 min); "
                     "set RUN_STRETCH=1 to attempt the full computation")
-    rows = repro.run_claims(["ultracube-q32-charpoly"],
-                            threads=os.cpu_count() or 1)
+    rows = repro.run_claims(["ultracube-q32-charpoly"])
     # non-gating: report the outcome either way
     for r in rows:
         print(f"criterion 10 (stretch): "

@@ -88,9 +88,10 @@ def test_charpoly_stderr_reports_cancelled_blocks(capsys, tmp_path):
 
 
 def test_charpoly_json_deterministic_across_threads(capsys):
+    # one serial prime loop: two runs print the same bytes
     args = ["charpoly", "--family", "tetra-minus-face", "--format", "json"]
-    code1, out1, _ = run(capsys, *args, "--threads", "1")
-    code2, out2, _ = run(capsys, *args, "--threads", "2")
+    code1, out1, _ = run(capsys, *args)
+    code2, out2, _ = run(capsys, *args)
     assert code1 == code2 == 0
     assert out1 == out2
     payload = json.loads(out1)
@@ -239,19 +240,14 @@ def test_negative_codegree_cap_is_an_input_error(capsys):
         assert code == 1 and out == "" and "codegree" in err
 
 
-def test_threads_below_one_is_an_input_error(capsys, monkeypatch):
-    for threads in ("0", "-4"):
-        code, out, err = run(capsys, "charpoly", "--family", "single-edge",
-                             "--k", "3", "--threads", threads)
-        assert code == 1 and out == "" and "threads" in err
-    ran = []
-    monkeypatch.setattr(repro, "charpoly", lambda *a, **kw: ran.append(a))
-    code, out, err = run(capsys, "repro", "--only", "single-edge-charpoly-k2",
-                         "--threads", "0")
-    assert code == 1 and out == "" and "threads" in err
-    assert ran == []
-    with pytest.raises(ValueError):
-        repro.run_all(threads=-4)
+def test_charpoly_guard_prints_the_estimate(capsys):
+    code, out, err = run(capsys, "charpoly", "--family", "complete:n=6,k=4")
+    assert code == 1 and out == ""
+    message, estimate = err.splitlines()
+    assert message.startswith("error: ") and "kernel operations" in message
+    estimate = json.loads(estimate)
+    assert estimate["predicted_ops"] > estimate["max_kernel_ops"]
+    assert estimate["largest_block"] > 0 and estimate["primes"] > 0
 
 
 def test_repro_checks_every_claim_id_before_running(capsys, monkeypatch):

@@ -21,6 +21,7 @@ from hypergraph_spectra.hypergraphs import (
     disjoint_union,
     single_edge,
     tetra_minus_face,
+    ultracube,
 )
 from hypergraph_spectra.macaulay import (
     _charpoly_direct,
@@ -138,10 +139,52 @@ def test_build_shapes_k2():
     assert got == {(0, 1), (1, 0), (1, 2), (2, 1)}
 
 
-def test_guard_raises_with_estimate():
+def _count_calls(monkeypatch, name):
+    calls = []
+    real = getattr(macaulay, name)
+    monkeypatch.setattr(macaulay, name,
+                        lambda *a: calls.append(1) or real(*a))
+    return calls
+
+
+def test_guard_raises_with_estimate(monkeypatch):
+    # complete(6,4): 10 distinct blocks of up to 3187 rows on 212 primes,
+    # about 6.9e12 kernel operations; refused before a block is made dense
+    dense = _count_calls(monkeypatch, "_dense")
+    kernels = _count_calls(monkeypatch, "_charpoly_mod_prime")
     with pytest.raises(GuardError) as ei:
-        build_macaulay(complete(5, 4), max_matrix_size=100)
-    assert ei.value.estimate["matrix_size"] == math.comb(15, 4)
+        charpoly(complete(6, 4))
+    est = ei.value.estimate
+    assert set(est) == {"predicted_bytes", "predicted_ops", "max_bytes",
+                        "max_kernel_ops", "largest_block", "distinct_blocks",
+                        "primes"}
+    assert est["predicted_ops"] > est["max_kernel_ops"]
+    assert est["largest_block"] == 3187 and est["primes"] == 212
+    assert dense == [] and kernels == []
+    # the sparse build is refused before any monomial is enumerated:
+    # ultracube(3,3) would have C(54, 26) rows
+    monomials = _count_calls(monkeypatch, "enumerate_monomials")
+    with pytest.raises(GuardError) as ei:
+        build_macaulay(ultracube(3, 3))
+    est = ei.value.estimate
+    assert est["matrix_size"] == math.comb(54, 26)
+    assert est["predicted_bytes"] > est["max_bytes"]
+    assert monomials == []
+
+
+@pytest.mark.parametrize("h", [ultracube(3, 2), complete(7, 3)],
+                         ids=["ultracube(3,2)", "complete(7,3)"])
+def test_guard_admits_large_inputs(monkeypatch, h):
+    # the first prime's kernels would run next; none does here
+    class PastTheGuard(Exception):
+        pass
+
+    def sentinel(*args):
+        raise PastTheGuard
+
+    monkeypatch.setattr(macaulay, "_phi_mod_prime", sentinel)
+    with pytest.raises(PastTheGuard):
+        charpoly(h)
 
 
 def test_predicted_bits_monotone():
@@ -283,19 +326,12 @@ def test_charpoly_codegree_closed_forms_random():
 
 
 def test_charpoly_threads_match():
+    # one serial prime loop: one kernel time per CRT prime
     h = Hypergraph(4, 3, [(0, 1, 2), (0, 1, 3), (0, 2, 3)])
-    a = charpoly(h, threads=1)
-    b = charpoly(h, threads=4)
-    assert a.phi == b.phi
+    res = charpoly(h)
     for key in ("modular_full", "modular_reduced"):
-        info = b.timings[key]
+        info = res.timings[key]
         assert len(info["per_prime_s"]) == info["num_primes"]
-
-
-def test_charpoly_rejects_threads_below_one():
-    for threads in (0, -4):
-        with pytest.raises(ValueError, match="threads"):
-            charpoly(single_edge(3), threads=threads)
 
 
 def test_charpoly_checks_survive_python_O():

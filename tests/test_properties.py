@@ -123,9 +123,14 @@ def test_greedy_color_matches_the_min_scan(h):
 @given(_EXACT_CASES)
 def test_charpoly_degree_and_relabelling(case):
     h, perm = case
+    n, k = h.n, h.k
     phi = charpoly(h).phi
-    assert phi.degree == h.n * (h.k - 1) ** (h.n - 1)
+    assert phi.degree == n * (k - 1) ** (n - 1)
     assert charpoly(h.relabel(perm)).phi == phi
+    # codegrees 1..k-1 vanish, and codegree k counts the edges
+    assert all(phi.coeff_at_codegree(d) == 0 for d in range(1, k))
+    assert phi.coeff_at_codegree(k) == (-(k ** (k - 2)) * (k - 1) ** (n - k)
+                                        * h.num_edges)
 
 
 @settings(max_examples=50, deadline=None)
