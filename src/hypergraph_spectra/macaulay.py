@@ -43,7 +43,6 @@ __all__ = [
     "MacaulayMatrix",
     "build_macaulay",
     "charpoly",
-    "int_determinant",
     "predicted_coefficient_bits",
 ]
 
@@ -150,37 +149,6 @@ def predicted_coefficient_bits(degree: int, root_bound: int) -> int:
         logc = (lg(degree + 1) - lg(j + 1) - lg(degree - j + 1)) / ln2
         best = max(best, logc + j * log2r)
     return int(best) + 2
-
-
-# -- exact integer determinant ------------------------------------------------
-
-
-def int_determinant(matrix) -> int:
-    """Exact determinant of a square integer matrix (list of rows).
-
-    Fraction-free Bareiss elimination: a zero pivot is replaced by a row
-    swap, and every division is checked exact.
-    """
-    a = [[int(v) for v in r] for r in matrix]
-    m = len(a)
-    if any(len(r) != m for r in a):
-        raise ValueError("matrix is not square")
-    sign, prev = 1, 1
-    for c in range(m):
-        piv = next((r for r in range(c, m) if a[r][c]), None)
-        if piv is None:
-            return 0
-        if piv != c:
-            a[c], a[piv] = a[piv], a[c]
-            sign = -sign
-        for r in range(c + 1, m):
-            for j in range(c + 1, m):
-                q, rem = divmod(a[r][j] * a[c][c] - a[r][c] * a[c][j], prev)
-                if rem:
-                    raise ArithmeticError("Bareiss division is not exact")
-                a[r][j] = q
-        prev = a[c][c]
-    return sign * prev
 
 
 # -- block split --------------------------------------------------------------

@@ -2,7 +2,9 @@
 
 Coefficients are arbitrary-precision Python integers; characteristic
 polynomials of even small hypergraphs have coefficients far beyond any fixed
-width.  A root's residual comes from an exact evaluation at its binary
+width.  Root multiplicities are exact: Yun's square-free decomposition
+splits every polynomial into factors with simple roots before any floating
+point runs.  A root's residual comes from an exact evaluation at its binary
 value, done over the Gaussian integers; rationals (``fractions.Fraction``)
 appear only in rounding coefficient ratios to floats.  Floating point is
 confined to the numeric root finder and to residual estimates.
@@ -53,21 +55,8 @@ class UniPoly:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def zero(cls) -> "UniPoly":
-        return cls()
-
-    @classmethod
     def one(cls) -> "UniPoly":
         return cls({0: 1})
-
-    @classmethod
-    def monomial(cls, degree: int, coeff: int = 1) -> "UniPoly":
-        return cls({degree: coeff})
-
-    @classmethod
-    def from_coeff_list(cls, ascending) -> "UniPoly":
-        """Build from a list of coefficients, index = degree."""
-        return cls(enumerate(ascending))
 
     # -- inspection --------------------------------------------------------
 
@@ -239,21 +228,6 @@ class UniPoly:
         out = UniPoly({d: v // c for d, v in self._c.items()})
         return out, c
 
-    # -- evaluation --------------------------------------------------------
-
-    def evaluate(self, point):
-        """Horner evaluation; exact for int/Fraction arguments."""
-        acc = 0
-        prev = None
-        for d in sorted(self._c, reverse=True):
-            if prev is not None:
-                acc *= point ** (prev - d)
-            acc += self._c[d]
-            prev = d
-        if prev is not None:
-            acc *= point**prev
-        return acc
-
     # -- formatting --------------------------------------------------------
 
     def __eq__(self, other):
@@ -408,25 +382,18 @@ def square_free_decomposition(p: UniPoly) -> list:
 
 # -- numeric roots ------------------------------------------------------------
 
-# Yun's algorithm is skipped beyond these sizes and multiplicities fall back
-# to clustering, within a _CLUSTER_TOL^(1/degree)-scaled radius.
-_SQUAREFREE_DEGREE_LIMIT = 512
-_SQUAREFREE_BITS_LIMIT = 40000
-_CLUSTER_TOL = 1e-9
-
 
 @dataclass
 class RootSet:
-    """Numeric roots with multiplicities and per-root residuals.
+    """Numeric roots with exact multiplicities and per-root residuals.
 
-    ``roots`` is a list of (value, multiplicity); ``residuals[i]`` is
+    ``roots`` is a list of (value, multiplicity), each multiplicity exact
+    from the square-free decomposition; ``residuals[i]`` is
     ``poly_residual`` at the i-th stored double-precision root.
     """
 
     roots: list
     residuals: list
-    method: str
-    converged: bool = True
 
     @property
     def total_multiplicity(self) -> int:
@@ -558,56 +525,31 @@ def poly_residual(p: UniPoly, z: complex) -> float:
 
 
 def numeric_roots(p: UniPoly) -> RootSet:
-    """All complex roots of p with multiplicities.
+    """All complex roots of p with exact multiplicities.
 
-    The exact factor L^r is stripped first.  When the square-free
-    decomposition is feasible (degree and coefficient-size limits), each
-    square-free factor is solved by Aberth iteration and multiplicities are
-    exact; otherwise roots are clustered and multiplicities are estimates.
+    The exact factor L^r is stripped first.  Yun's square-free decomposition
+    of the rest gives its factors and their exact multiplicities, and each
+    factor is solved by Aberth iteration.  A root that overflows or an
+    iteration that does not converge raises ArithmeticError.
     """
     if p.is_zero:
         raise ValueError("zero polynomial has no finite root set")
     r0 = min(p.coefficients())
     roots = [(0j, r0)] if r0 else []
-    stripped = {d - r0: v for d, v in p.coefficients().items()}
-    q, _ = UniPoly(stripped).primitive()
-    method = "aberth"
+    stripped = UniPoly({d - r0: v for d, v in p.coefficients().items()})
     converged = True
-    if q.degree > 0:
-        feasible = (q.degree <= _SQUAREFREE_DEGREE_LIMIT
-                    and q.max_coefficient_bits() <= _SQUAREFREE_BITS_LIMIT)
-        if feasible:
-            factors = square_free_decomposition(q)
-            method = "yun+aberth"
-        else:
-            factors = [(q, 1)]
-        collected = []
-        for factor, mult in factors:
-            vals, ok = _aberth(_scaled_float_coeffs(factor))
-            converged = converged and ok
-            collected.extend((v, mult) for v in vals)
-        if not feasible:
-            # multiplicity by clustering
-            radius = _CLUSTER_TOL ** (1.0 / q.degree)
-            clusters = []
-            for v, _ in collected:
-                for c in clusters:
-                    if abs(v - c[0]) <= radius * max(1.0, abs(v)):
-                        c[1] += 1
-                        break
-                else:
-                    clusters.append([v, 1])
-            collected = [(v, m) for v, m in clusters]
-            method = "aberth+cluster"
-        roots.extend(collected)
+    for factor, mult in square_free_decomposition(stripped):
+        vals, ok = _aberth(_scaled_float_coeffs(factor))
+        if not all(map(cmath.isfinite, vals)):
+            raise ArithmeticError(
+                f"root iteration overflowed on a factor of degree {factor.degree}")
+        converged = converged and ok
+        roots.extend((v, mult) for v in vals)
     residuals = [poly_residual(p, v) for v, _ in roots]
-    rs = RootSet(roots=roots, residuals=residuals, method=method,
-                 converged=converged)
+    rs = RootSet(roots=roots, residuals=residuals)
     if rs.total_multiplicity != p.degree:
         raise ArithmeticError("root multiplicities do not sum to the degree")
-    if not converged and method != "aberth+cluster":
-        # square-free factors must converge; stalling there means a bug, while
-        # the clustering fallback legitimately stalls on multiple roots
+    if not converged:
         worst = max(residuals) if residuals else 0.0
         raise ArithmeticError(f"root iteration did not converge; residual {worst:.3e}")
     return rs

@@ -27,11 +27,10 @@ from hypergraph_spectra.macaulay import (
     _charpoly_direct,
     build_macaulay,
     charpoly,
-    int_determinant,
     predicted_coefficient_bits,
 )
 from hypergraph_spectra.polynomials import UniPoly
-from hypergraph_spectra.traces import schur_coefficients
+from hypergraph_spectra.traces import int_determinant, schur_coefficients
 
 
 def _charpoly_by_permanent_expansion(h):

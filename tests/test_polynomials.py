@@ -1,3 +1,4 @@
+import cmath
 import math
 import random
 from fractions import Fraction
@@ -7,6 +8,7 @@ import pytest
 from hypergraph_spectra import polynomials
 from hypergraph_spectra.hypergraphs import Hypergraph
 from hypergraph_spectra.macaulay import charpoly
+from hypergraph_spectra.spectral import lambda_max
 from hypergraph_spectra.polynomials import (
     UniPoly,
     _log2_abs_eval,
@@ -35,13 +37,6 @@ def test_arith_basics():
     assert q**3 == UniPoly({3: 1, 2: 3, 1: 3, 0: 1})
     assert (q - 1) == UniPoly({1: 1})
     assert p.shift(2) == UniPoly({4: 1, 2: -1})
-
-
-def test_evaluate_exact():
-    p = UniPoly({3: 2, 1: -7, 0: 4})
-    assert p.evaluate(0) == 4
-    assert p.evaluate(3) == 2 * 27 - 21 + 4
-    assert p.evaluate(Fraction(1, 2)) == Fraction(2, 8) - Fraction(7, 2) + 4
 
 
 def _log2_abs_reference(p, z):
@@ -257,10 +252,49 @@ def test_numeric_roots_stall_at_rounding_level():
     h = Hypergraph(5, 3, [(0, 3, 4), (0, 3, 2), (0, 3, 1), (0, 4, 1),
                           (3, 4, 2)])
     phi = charpoly(h).phi
-    rs = numeric_roots(phi)
-    assert rs.converged
+    rs = numeric_roots(phi)  # non-convergence raises
     assert rs.total_multiplicity == phi.degree == 80
     assert max(rs.residuals) < 1e-15
+
+
+def test_numeric_roots_ultracube_q32_exact_multiplicities():
+    # phi(Q_{3,2}) from its factorization, degree 2304: each cube root of c
+    # carries the exponent of L^3 - c, and the largest |root| is Delta = 2
+    def cube(c):
+        return UniPoly({3: 1, 0: -c})
+
+    exponents = {1: 18, -1: 54, 8: 27, 2: 486}
+    phi = UniPoly({549: 1})
+    for c, m in exponents.items():
+        phi = phi * cube(c) ** m
+    rs = numeric_roots(phi)
+    assert rs.total_multiplicity == phi.degree == 2304
+    assert len(rs.roots) == 13
+    assert [m for z, m in rs.roots if z == 0] == [549]
+    for c, m in exponents.items():
+        for j in range(3):
+            w = cmath.rect(abs(c) ** (1 / 3), (cmath.phase(c) + 2 * math.pi * j) / 3)
+            assert [mz for z, mz in rs.roots if abs(z - w) < 1e-9] == [m], (c, j)
+    assert max(abs(z) for z, _ in rs.roots) == 2.0
+
+
+def test_numeric_roots_degree_1024_charpoly_meets_lambda_max():
+    h = Hypergraph(8, 3, [(0, 1, 2), (2, 3, 4), (4, 5, 6), (5, 6, 7)])
+    phi = charpoly(h).phi
+    assert phi.degree == 1024
+    rs = numeric_roots(phi)
+    assert rs.total_multiplicity == 1024
+    top = max(abs(z) for z, _ in rs.roots)
+    assert abs(top - lambda_max(h).value) <= 1e-6
+
+
+def test_numeric_roots_overflow_raises_arithmetic_error():
+    # Aberth starts on a circle of radius 1 + max|c_i|, where the powers of
+    # these iterates overflow a double
+    for p in (UniPoly({2: 1, 0: -10**200}), UniPoly({3: 1, 0: -10**300})):
+        with pytest.raises(ArithmeticError,
+                           match=f"overflowed on a factor of degree {p.degree}"):
+            numeric_roots(p)
 
 
 def test_poly_residual_scales():
