@@ -100,8 +100,6 @@ def parse_family(spec: str, default_k=None) -> Hypergraph:
             h = tetra_minus_face()
         else:
             raise ValueError(f"unknown family {name!r}")
-    except ValueError:
-        raise
     except TypeError as exc:
         raise ValueError(f"bad parameters for family {name!r}: {exc}")
     if params:
@@ -136,13 +134,12 @@ def _parse_complex(text: str) -> complex:
         raise ValueError(f"cannot parse complex number {text!r}")
 
 
-def _add_input_flags(p, need_k=True):
+def _add_input_flags(p):
     p.add_argument("--file", help="edge-list file")
     p.add_argument("--family",
                    help="family spec, e.g. complete:n=4,k=3 or "
                         "cylinder:parts=2,3 or ultracube:k=3,d=2")
-    if need_k:
-        p.add_argument("--k", type=int, help="default uniformity for --family")
+    p.add_argument("--k", type=int, help="default uniformity for --family")
     p.add_argument("--format", choices=("text", "json"), default="text")
 
 

@@ -7,6 +7,7 @@ have isolated vertices (they matter to the spectrum, so n is explicit).
 
 from __future__ import annotations
 
+import bisect
 import itertools
 from fractions import Fraction
 
@@ -39,7 +40,7 @@ class Hypergraph:
     reads it.
     """
 
-    __slots__ = ("n", "k", "edges", "incidence", "_edge_set")
+    __slots__ = ("n", "k", "edges", "incidence")
 
     def __init__(self, n: int, k: int, edges=()):
         if n < 1:
@@ -64,7 +65,6 @@ class Hypergraph:
             for v in e:
                 incidence[v].append(idx)
         self.incidence = tuple(map(tuple, incidence))
-        self._edge_set = frozenset(canon)
 
     # -- basic inspection ----------------------------------------------------
 
@@ -73,7 +73,9 @@ class Hypergraph:
         return len(self.edges)
 
     def has_edge(self, e) -> bool:
-        return tuple(sorted(e)) in self._edge_set
+        t = tuple(sorted(e))
+        i = bisect.bisect_left(self.edges, t)
+        return i < len(self.edges) and self.edges[i] == t
 
     def degree(self, v: int) -> int:
         if not 0 <= v < self.n:
@@ -145,10 +147,10 @@ class Hypergraph:
     def __eq__(self, other):
         if not isinstance(other, Hypergraph):
             return NotImplemented
-        return (self.n, self.k, self._edge_set) == (other.n, other.k, other._edge_set)
+        return (self.n, self.k, self.edges) == (other.n, other.k, other.edges)
 
     def __hash__(self):
-        return hash((self.n, self.k, self._edge_set))
+        return hash((self.n, self.k, self.edges))
 
     def __repr__(self):
         return f"Hypergraph(n={self.n}, k={self.k}, m={len(self.edges)})"

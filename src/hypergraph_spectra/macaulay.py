@@ -317,9 +317,8 @@ def _charpoly_mod_prime(mat: np.ndarray, p: int) -> np.ndarray:
             h[:, [c + 1, piv]] = h[:, [piv, c + 1]]
         inv = pow(int(h[c + 1, c]), p - 2, p)
         mult = (h[c + 2:, c] * inv) % p
-        if np.any(mult):
-            h[c + 2:, c:] = (h[c + 2:, c:] - mult[:, None] * h[c + 1, c:]) % p
-            h[:, c + 1] = (h[:, c + 1] + h[:, c + 2:] @ mult) % p
+        h[c + 2:, c:] = (h[c + 2:, c:] - mult[:, None] * h[c + 1, c:]) % p
+        h[:, c + 1] = (h[:, c + 1] + h[:, c + 2:] @ mult) % p
     q = np.zeros((n + 1, n + 1), dtype=np.int64)
     q[0, 0] = 1
     t = np.zeros(n, dtype=np.int64)  # t[i] = product of subdiagonals i+1..m-1
@@ -332,8 +331,7 @@ def _charpoly_mod_prime(mat: np.ndarray, p: int) -> np.ndarray:
             t[:m - 2] = (t[:m - 2] * s) % p
             t[m - 2] = s
             cs = (h[:m - 1, m - 1] * t[:m - 1]) % p
-            if np.any(cs):
-                q[m, :m] = (q[m, :m] - cs @ q[:m - 1, :m]) % p
+            q[m, :m] = (q[m, :m] - cs @ q[:m - 1, :m]) % p
     out = q[n]
     if out[n] != 1:
         raise ArithmeticError(f"charpoly mod {p} is not monic")

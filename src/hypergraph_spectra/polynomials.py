@@ -13,6 +13,7 @@ confined to the numeric root finder and to residual estimates.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -280,23 +281,25 @@ def enumerate_monomials(n: int, d: int) -> list:
     """All exponent vectors of total degree d in n variables, graded-lex.
 
     Within the single degree block, order is lexicographic descending on the
-    exponent vector, e.g. (2,2) -> [(2,0), (1,1), (0,2)].
+    exponent vector, e.g. (2,2) -> [(2,0), (1,1), (0,2)].  The vectors are
+    counted from the multisets of d variable indices, which
+    combinations_with_replacement yields as sorted tuples in ascending lex
+    order.  At the first place two such tuples differ, the smaller holds
+    more copies of that index, so its exponent vector is the larger.
+
+    The Macaulay rows, the splits of a generalized trace and the phase
+    counts of a cylinder spectrum all come from here.
     """
     if n < 1:
         raise ValueError("need at least one variable")
     if d < 0:
         raise ValueError("negative degree")
     out = []
-    stack = [((), d)]
-    while stack:
-        prefix, rest = stack.pop()
-        pos = len(prefix)
-        if pos == n - 1:
-            out.append(prefix + (rest,))
-            continue
-        # push ascending so the largest first coordinate pops first
-        for e in range(rest + 1):
-            stack.append((prefix + (e,), rest - e))
+    for combo in itertools.combinations_with_replacement(range(n), d):
+        exps = [0] * n
+        for i in combo:
+            exps[i] += 1
+        out.append(tuple(exps))
     return out
 
 
@@ -420,14 +423,19 @@ def _horner(coeffs, z):
     return acc
 
 
-def _aberth(coeffs, tol=5e-15, max_iter=400):
+# Aberth's stopping step (relative) and its sweep limit.
+_ABERTH_TOL = 5e-15
+_ABERTH_MAX_ITER = 400
+
+
+def _aberth(coeffs):
     """Simultaneous (Aberth-Ehrlich) iteration on a square-free polynomial.
 
     ``coeffs`` ascending, monic floats.  Returns (roots, converged).  A root
     is frozen once |p(z)| is within Horner's rounding bound
     4*deg*2^-52*sum|c_i||z|^i, where the steps only follow rounding noise;
     the iteration has converged when every root is frozen or the largest
-    relative step is at most tol.
+    relative step is at most _ABERTH_TOL.
     """
     deg = len(coeffs) - 1
     if deg == 0:
@@ -442,7 +450,7 @@ def _aberth(coeffs, tol=5e-15, max_iter=400):
     z = [radius * 0.8 * cmath.exp(2j * math.pi * (j + 0.37) / deg) + 0.1j
          for j in range(deg)]
     converged = False
-    for _ in range(max_iter):
+    for _ in range(_ABERTH_MAX_ITER):
         moved = 0.0
         for j in range(deg):
             if frozen[j]:
@@ -468,7 +476,7 @@ def _aberth(coeffs, tol=5e-15, max_iter=400):
             w = ratio if denom == 0 else ratio / denom
             z[j] -= w
             moved = max(moved, abs(w) / (1.0 + abs(z[j])))
-        if moved <= tol or all(frozen):
+        if moved <= _ABERTH_TOL or all(frozen):
             converged = True
             break
     # polish with plain Newton

@@ -40,7 +40,7 @@ from .spectral import (
 )
 from .traces import coefficients_via_traces, count_simplices
 
-__all__ = ["ClaimResult", "claim_ids", "run_all", "run_claims"]
+__all__ = ["ClaimResult", "run_all", "run_claims"]
 
 
 @dataclass
@@ -346,10 +346,6 @@ def _c_q32():
 
 
 # -- runners -------------------------------------------------------------------------
-
-
-def claim_ids(gate=None) -> list:
-    return [cid for cid, g, _, _ in _REGISTRY if gate is None or g == gate]
 
 
 def run_claims(ids) -> list:

@@ -31,7 +31,7 @@ from .hypergraphs import (
     is_subgraph,
     ultracube,
 )
-from .polynomials import UniPoly, numeric_roots
+from .polynomials import UniPoly, enumerate_monomials, numeric_roots
 
 __all__ = [
     "ColoringReport",
@@ -185,11 +185,12 @@ def _lambda_max_connected(h: Hypergraph, arrays, tol: float, max_iter: int):
         ratios = [a / p for a, p in zip(ax, powers)]
         lower = max(lower, min(ratios))
         upper = min(upper, max(ratios))
-        mid = 0.5 * (lower + upper)
-        residual = max(abs(a - mid * p) for a, p in zip(ax, powers))
-        if upper - lower <= tol and residual <= max(tol * 1e-2, 1e-13):
-            converged = True
-            break
+        if upper - lower <= tol:
+            mid = 0.5 * (lower + upper)
+            residual = max(abs(a - mid * p) for a, p in zip(ax, powers))
+            if residual <= max(tol * 1e-2, 1e-13):
+                converged = True
+                break
         y = [(a + shift * p) ** inv for a, p in zip(ax, powers)]
         scale = sum(v ** k for v in y) ** (1.0 / k)
         x = [v / scale for v in y]
@@ -433,9 +434,9 @@ def cylinder_spectrum(part_sizes) -> FamilySpectrum:
         w[groups[big][1]] = -1.0
         found.add(0j, "0", w)
 
-    per_part_counts = [
-        list(_count_vectors(m, num_phases)) for m in sizes
-    ]
+    # phase counts in ascending lex order, the order the values are listed in
+    per_part_counts = [enumerate_monomials(num_phases, m)[::-1]
+                       for m in sizes]
     for counts in itertools.product(*per_part_counts):
         ms = []
         for cvec in counts:
@@ -466,16 +467,6 @@ def cylinder_spectrum(part_sizes) -> FamilySpectrum:
             found.add(lam, desc, witness)
     return found.spectrum("complete_cylinder" + str(tuple(sizes)),
                           "transversal phase construction")
-
-
-def _count_vectors(total: int, bins: int):
-    """All nonnegative integer vectors of length bins summing to total."""
-    if bins == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _count_vectors(total - first, bins - 1):
-            yield (first,) + rest
 
 
 def _fmt_complex(z: complex) -> str:

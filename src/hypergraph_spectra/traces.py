@@ -14,6 +14,7 @@ import math
 from fractions import Fraction
 
 from .hypergraphs import Hypergraph
+from .polynomials import enumerate_monomials
 
 __all__ = [
     "coefficients_via_traces",
@@ -84,19 +85,16 @@ def count_closed_arrangements(arcs) -> int:
     # the digraph is Eulerian so the root does not matter, and the minor
     # vanishes when the digraph is not weakly connected
     t = len(order)
-    if t == 1:
-        trees = 1
-    else:
-        lap = [[0] * (t - 1) for _ in range(t - 1)]
-        for (a, b), m in arcs.items():
-            ia, ib = pos[a], pos[b]
-            if ia == ib:
-                continue
-            if ia > 0:
-                lap[ia - 1][ia - 1] += m
-            if ia > 0 and ib > 0:
-                lap[ia - 1][ib - 1] -= m
-        trees = int_determinant(lap)
+    lap = [[0] * (t - 1) for _ in range(t - 1)]
+    for (a, b), m in arcs.items():
+        ia, ib = pos[a], pos[b]
+        if ia == ib:
+            continue
+        if ia > 0:
+            lap[ia - 1][ia - 1] += m
+        if ia > 0 and ib > 0:
+            lap[ia - 1][ib - 1] -= m
+    trees = int_determinant(lap)
     if trees == 0:
         return 0
     total_arcs = sum(arcs.values())
@@ -138,9 +136,12 @@ def generalized_trace(h: Hypergraph, d: int) -> int:
         return n * (k - 1) ** (n - 1)
     links = [h.link(v) for v in range(n)]
     active = [v for v in range(n) if links[v]]
+    if not active:
+        return 0
     scale = (k - 1) ** (n - 1)
     total = Fraction(0)
-    for split in _compositions(d, active):
+    for exps in enumerate_monomials(len(active), d):
+        split = {v: e for v, e in zip(active, exps) if e}
         support = set(split)
         # factor 1/prod (d_v (k-1))!
         denom = 1
@@ -153,30 +154,6 @@ def generalized_trace(h: Hypergraph, d: int) -> int:
     if result.denominator != 1:
         raise ArithmeticError(f"generalized trace {result} is not an integer")
     return int(result)
-
-
-def _compositions(d: int, active):
-    """All maps from subsets of active vertices to positive weights summing
-    to d, yielded as dicts."""
-    verts = list(active)
-
-    def rec(i, remaining):
-        if remaining == 0:
-            yield {}
-            return
-        if i == len(verts):
-            return
-        # vertex verts[i] takes 0..remaining
-        for take in range(remaining + 1):
-            for rest in rec(i + 1, remaining - take):
-                if take:
-                    out = {verts[i]: take}
-                    out.update(rest)
-                    yield out
-                else:
-                    yield rest
-
-    yield from rec(0, d)
 
 
 def _sum_over_choices(links, split, support):

@@ -62,12 +62,11 @@ def _charpoly_by_permanent_expansion(h):
     return total
 
 
-def _charpoly_by_power_sums(h):
-    """phi from its power sums tr(N^d) - tr(N'^d) by Newton's identities,
-    as an oracle that uses no determinant engine.
+def _power_sums(h, count):
+    """tr(N^d) - tr(N'^d) for d = 1..count: the power sums of phi's roots,
+    from matrix powers alone, with no determinant engine.
     """
     mac = build_macaulay(h)
-    degree = h.n * (h.k - 1) ** (h.n - 1)
     keep = [i for i, red in enumerate(mac.reduced) if not red]
     keep_pos = {i: pos for pos, i in enumerate(keep)}
     minor_rows = [[keep_pos[c] for c in mac.rows[i] if c in keep_pos]
@@ -77,7 +76,7 @@ def _charpoly_by_power_sums(h):
         m = len(rows)
         power = [[int(i == j) for j in range(m)] for i in range(m)]
         out = []
-        for _ in range(degree):
+        for _ in range(count):
             nxt = [[0] * m for _ in range(m)]
             for prow, nrow in zip(power, nxt):
                 for j, v in enumerate(prow):
@@ -88,9 +87,16 @@ def _charpoly_by_power_sums(h):
             out.append(sum(power[i][i] for i in range(m)))
         return out
 
-    sums = [a - b for a, b in zip(power_traces(mac.rows),
+    return [a - b for a, b in zip(power_traces(mac.rows),
                                   power_traces(minor_rows))]
-    coeffs = schur_coefficients(sums)
+
+
+def _charpoly_by_power_sums(h):
+    """phi from its power sums by Newton's identities, as an oracle that
+    uses no determinant engine.
+    """
+    degree = h.n * (h.k - 1) ** (h.n - 1)
+    coeffs = schur_coefficients(_power_sums(h, degree))
     assert all(c.denominator == 1 for c in coeffs)
     return UniPoly({degree: 1, **{degree - d: int(c)
                                   for d, c in enumerate(coeffs, 1)}})

@@ -1,4 +1,5 @@
 import cmath
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -149,6 +150,11 @@ def test_monomials_count_and_order():
     assert all(sum(m) == 4 for m in ms)
     assert ms == sorted(ms, reverse=True)
     assert len(set(ms)) == len(ms)
+    for n in range(1, 6):
+        for d in range(6):
+            want = sorted((e for e in itertools.product(range(d + 1), repeat=n)
+                           if sum(e) == d), reverse=True)
+            assert enumerate_monomials(n, d) == want
 
 
 def test_square_free_decomposition():

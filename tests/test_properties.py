@@ -20,6 +20,8 @@ from hypergraph_spectra.spectral import (
     lambda_max,
     verify_eigenpair,
 )
+from hypergraph_spectra.traces import generalized_trace
+from test_macaulay import _power_sums
 
 
 @st.composite
@@ -99,11 +101,11 @@ def _min_scan_coloring(h):
 
 
 @st.composite
-def graphs_with_isolated_vertices(draw):
-    """A random k-graph, k = 2..4, on at most 12 vertices, whose edges
-    avoid a drawn number of them, under a random relabelling."""
+def graphs_with_isolated_vertices(draw, max_n):
+    """A random k-graph, k = 2..4, on at most max_n[k] vertices, whose
+    edges avoid a drawn number of them, under a random relabelling."""
     k = draw(st.integers(2, 4))
-    n = draw(st.integers(k, 12))
+    n = draw(st.integers(k, max_n[k]))
     active = draw(st.integers(k, n))
     pool = list(itertools.combinations(range(active), k))
     edges = draw(st.lists(st.sampled_from(pool), unique=True, max_size=40))
@@ -111,7 +113,7 @@ def graphs_with_isolated_vertices(draw):
 
 
 @settings(max_examples=100, deadline=None)
-@given(graphs_with_isolated_vertices())
+@given(graphs_with_isolated_vertices({2: 12, 3: 12, 4: 12}))
 # a 6-cycle: every degree ties at every step
 @example(Hypergraph(6, 2, [(i, (i + 1) % 6) for i in range(6)]))
 def test_greedy_color_matches_the_min_scan(h):
@@ -182,3 +184,12 @@ def test_block_split_matches_the_whole_matrix(case):
     # combines components, the reference takes the joint matrix
     h, _ = case
     assert charpoly(h).phi == _whole_matrix_phi(h)
+
+
+@settings(max_examples=50, deadline=None)
+@given(graphs_with_isolated_vertices({2: 6, 3: 5, 4: 4}))
+@example(Hypergraph(3, 2))
+def test_generalized_trace_is_a_power_sum(h):
+    # the trace sums over every split of d among the vertices with edges;
+    # matrix powers of N and N' give the same power sums
+    assert [generalized_trace(h, d) for d in range(1, 5)] == _power_sums(h, 4)

@@ -354,6 +354,18 @@ def test_cylinder_spectrum_regular():
     assert all(r < 1e-9 for r in spec.residuals)
 
 
+def test_cylinder_spectrum_descriptions_keep_their_order():
+    # the phase counts of each part run in ascending lex order
+    assert cylinder_spectrum([1, 1, 2]).descriptions == (
+        "0", "rot0 of (-1,-1,-2)^(2/3)", "rot1 of (-1,-1,-2)^(2/3)",
+        "rot2 of (-1,-1,-2)^(2/3)")
+    w = "-1-1.73205i"
+    sums = [(w, w, w, w), (w, w, w, "-1"), (w, w, "-1", "-1"),
+            (w, "-1", "-1", "-1"), ("-1", "-1", "-1", "-1")]
+    assert cylinder_spectrum([2, 2, 2, 2]).descriptions == ("0",) + tuple(
+        f"rot{t} of ({','.join(m)})^(3/4)" for m in sums for t in range(4))
+
+
 def test_cylinder_spectrum_guard():
     with pytest.raises(GuardError):
         cylinder_spectrum([40, 40, 40, 40, 40])
