@@ -9,10 +9,13 @@ whose monomial has two or more coordinates >= k-1 is exact, and the result
 is the monic characteristic polynomial of degree n(k-1)^(n-1).
 
 phi is computed by one exact engine: for each prime the characteristic
-polynomials of N and of its minor N' are divided modulo p, CRT rebuilds
-phi's coefficients, and a held-out prime checks the result.  The primes
-cover an a-priori certificate: every root of phi is an eigenvalue, so its
-modulus is at most the maximum degree Delta, which bounds each coefficient.
+polynomials of N and of its minor N' are divided modulo p, and each prime's
+residues are folded into a running CRT lift of phi's coefficients.  Every
+root of phi is an eigenvalue, so its modulus is at most the maximum degree
+Delta, which bounds each coefficient a priori.  The bound is loose, so the
+loop stops as soon as the lift has stayed unchanged over two primes and a
+held-out prime agrees with it ("early"); otherwise it stops once the primes
+cover the bound, and the held-out prime must agree ("bound").
 
 N is never built densely.  Ordered by the strongly connected components of
 its digraph (Tarjan 1972; Duff and Reid 1978), N is block upper triangular,
@@ -378,17 +381,19 @@ def _phi_mod_prime(numer, denom, p: int):
     return quot, (t1 - t0, t2 - t1, time.perf_counter() - t2)
 
 
-def _crt_symmetric(primes, residues) -> list:
-    """The integers in the symmetric range that have the given residues."""
-    coeffs = [int(v) for v in residues[0]]
-    modulus = primes[0]
-    for p, res in zip(primes[1:], residues[1:]):
-        minv = pow(modulus % p, p - 2, p)
-        for idx, v in enumerate(res):
-            coeffs[idx] += modulus * ((int(v) - coeffs[idx]) * minv % p)
-        modulus *= p
-    half = modulus // 2
-    return [v - modulus if v > half else v for v in coeffs]
+def _crt_step(lift, modulus, residues, p):
+    """One Garner step: the lift, in the symmetric range mod modulus, moved
+    to the integers in the symmetric range mod modulus*p that also have the
+    given residues mod p; the first step starts from zeros and modulus 1.
+    """
+    minv = pow(modulus % p, p - 2, p)
+    new_mod = modulus * p
+    half = new_mod // 2
+    out = []
+    for c, v in zip(lift, residues, strict=True):
+        c += modulus * ((int(v) - c) * minv % p)
+        out.append(c - new_mod if c > half else c)
+    return out, new_mod
 
 
 # -- public characteristic polynomial -------------------------------------------
@@ -403,14 +408,17 @@ class CharPolyResult:
     and detMprime stay None: phi is rebuilt without either determinant.
     The timings of a direct result hold predicted_bits, the certified bound
     on phi's coefficient bits with the sign, beside phi_bits, the actual
-    bits; modular_full and modular_reduced list the seconds of N's and N''s
-    block kernels and products on each CRT prime (det_full_s and
-    det_reduced_s sum them over every prime, the held-out one included;
-    divide_s sums the divisions mod p).  blocks counts the strongly
-    connected components of N, largest_block is the rows of the largest,
-    cancelled_blocks counts those shared with N', and distinct_blocks the
-    blocks of N and N' that reach a kernel on each prime; split_s is the
-    time to find and group them.
+    bits; crt_mode, "early" when the lift settled before its primes covered
+    that bound and "bound" when they covered it, and bound_primes, the CRT
+    primes the bound needs.  modular_full and modular_reduced give the CRT
+    primes (num_primes), the last held-out prime (verification_prime) and
+    the seconds of N's and N''s block kernels and products on each CRT
+    prime (det_full_s and det_reduced_s sum them over every prime, the
+    held-out ones included; divide_s sums the divisions mod p).  blocks
+    counts the strongly connected components of N, largest_block is the
+    rows of the largest, cancelled_blocks counts those shared with N', and
+    distinct_blocks the blocks of N and N' that reach a kernel on each
+    prime; split_s is the time to find and group them.
     """
 
     phi: UniPoly
@@ -434,14 +442,19 @@ def charpoly(h: Hypergraph) -> CharPolyResult:
     the diagonal blocks of their strongly connected components; the blocks
     N and N' share cancel, and for each prime the products of the other
     blocks' characteristic polynomials, one kernel per distinct block, are
-    divided mod p.  CRT rebuilds phi's coefficients alone, and one more,
-    held-out prime checks the result.  The primes cover the certificate
+    divided mod p.  Each prime's residues of phi's coefficients alone are
+    folded into a CRT lift.  Once the lift has stayed unchanged over two
+    primes, the next prime is held out: if it agrees, phi is returned
+    (crt_mode "early"), and if not, it joins the CRT primes and the loop
+    goes on.  Otherwise the primes cover the certificate
     |c_j| <= C(D, j)*Delta^j, which holds because every root of phi has
-    modulus at most the maximum degree Delta.  A disconnected input is
-    split into components, each with its own matrix and guard, and their
-    polynomials are combined by the disjoint-union power identity, which
-    avoids the much larger joint matrix.  GuardError refuses a job whose
-    predicted bytes or kernel operations exceed the module's budgets.
+    modulus at most the maximum degree Delta, and the held-out prime must
+    agree or ArithmeticError is raised (crt_mode "bound").  A disconnected
+    input is split into components, each with its own matrix and guard,
+    and their polynomials are combined by the disjoint-union power
+    identity, which avoids the much larger joint matrix.  GuardError
+    refuses a job whose predicted bytes or kernel operations, over every
+    prime the bound could need, exceed the module's budgets.
     """
     t_start = time.perf_counter()
     comps = [sub for sub, _verts in h.components()]
@@ -479,24 +492,39 @@ def _charpoly_direct(h: Hypergraph) -> CharPolyResult:
     while total < bits + 8:
         primes.append(next(gen))
         total += math.log2(primes[-1])
-    check_prime = next(gen)
-    numer, denom, blocks = _diagonal_blocks(mac, len(primes) + 1)
+    bound_primes = len(primes)
+    primes.append(next(gen))
+    numer, denom, blocks = _diagonal_blocks(mac, len(primes))
     t_split = time.perf_counter()
-    residues, times = zip(*(_phi_mod_prime(numer, denom, p)
-                            for p in primes + [check_prime]))
-    lifted = _crt_symmetric(primes, residues[:-1])
-    if any((c - int(v)) % check_prime for c, v in zip(lifted, residues[-1])):
-        raise ArithmeticError(
-            f"phi failed verification at the held-out prime {check_prime}")
-    phi = UniPoly(enumerate(lifted))
+    # fold primes into the lift until it has stayed unchanged over two
+    # primes, or the folded primes cover the bound; the next prime is held
+    # out.  Folded primes are a prefix of `primes`, so the loop ends by the
+    # bound's held-out prime: a disagreement there raises, one before it
+    # joins the CRT primes.  No prime agrees with the zero start: phi is
+    # monic.
+    lift, modulus, steady, times = [0] * (expected_degree + 1), 1, 0, []
+    for folded, p in enumerate(primes):
+        residues, secs = _phi_mod_prime(numer, denom, p)
+        times.append(secs)
+        agrees = not any((c - int(v)) % p for c, v in zip(lift, residues))
+        if agrees and (steady == 2 or folded == bound_primes):
+            break
+        if folded == bound_primes:
+            raise ArithmeticError(
+                f"phi failed verification at the held-out prime {p}")
+        lift, modulus = _crt_step(lift, modulus, residues, p)
+        steady = steady + 1 if agrees else 0
+    phi = UniPoly(enumerate(lift))
     if not phi.is_monic or phi.degree != expected_degree:
         raise ArithmeticError(
             f"phi is not monic of degree {expected_degree}")
     full_s, minor_s, divide_s = zip(*times)
-    info = {"num_primes": len(primes), "verification_prime": check_prime}
+    info = {"num_primes": folded, "verification_prime": p}
     timings = {"build_s": t_build - t_start, "split_s": t_split - t_build,
                **blocks, "predicted_bits": bits,
                "phi_bits": phi.max_coefficient_bits(),
+               "crt_mode": "early" if folded < bound_primes else "bound",
+               "bound_primes": bound_primes,
                "modular_full": dict(info, per_prime_s=list(full_s[:-1])),
                "modular_reduced": dict(info, per_prime_s=list(minor_s[:-1])),
                "det_full_s": sum(full_s), "det_reduced_s": sum(minor_s),

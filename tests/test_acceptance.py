@@ -51,7 +51,7 @@ def test_c04_trace_macaulay_agreement():
 @pytest.mark.slow
 def test_c05_simplex_constant_k4():
     """Codegree-5 coefficient of charpoly(complete(5,4)) over -3 equals 588;
-    exact; the slowest claim (15-20 seconds on one core)."""
+    exact; the slowest claim (about 4 seconds on one core)."""
     _check("5", ["simplex-constant-k4"])
 
 
@@ -87,7 +87,7 @@ def test_c10_ultracube_stretch():
     non-gating stretch run behind RUN_STRETCH=1."""
     _check("10-consistency", ["ultracube-q32-product-consistency"])
     if not os.environ.get("RUN_STRETCH"):
-        pytest.skip("direct matrix has 43758 rows (about 3.5 min); "
+        pytest.skip("direct matrix has 43758 rows (about 50 s); "
                     "set RUN_STRETCH=1 to attempt the full computation")
     rows = repro.run_claims(["ultracube-q32-charpoly"])
     # non-gating: report the outcome either way

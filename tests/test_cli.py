@@ -69,6 +69,17 @@ def test_charpoly_stderr_reports_bits(capsys):
     # phi = L^12 - 3L^9 + 3L^6 - L^3 against C(12, 6) = 924 < 2^10, plus a sign
     assert timings["phi_bits"] == 2
     assert timings["predicted_bits"] == 11
+    # one prime covers the bound, before the lift could settle
+    assert timings["crt_mode"] == "bound"
+    assert timings["bound_primes"] == 1
+    assert timings["modular_full"]["num_primes"] == 1
+    code, _, err = run(capsys, "charpoly", "--family", "complete:n=5,k=3")
+    assert code == 0
+    timings = json.loads(err.split("timings=", 1)[1])
+    # 60 bits of phi settle on three 25-bit primes; the bound asks for ten
+    assert timings["crt_mode"] == "early"
+    assert timings["bound_primes"] == 10
+    assert timings["modular_full"]["num_primes"] < 10
 
 
 def test_charpoly_stderr_reports_cancelled_blocks(capsys, tmp_path):

@@ -330,13 +330,52 @@ def test_charpoly_codegree_closed_forms_random():
         assert phi.coeff_at_codegree(3) == want
 
 
-def test_charpoly_threads_match():
+def test_charpoly_one_kernel_time_per_crt_prime():
     # one serial prime loop: one kernel time per CRT prime
     h = Hypergraph(4, 3, [(0, 1, 2), (0, 1, 3), (0, 2, 3)])
     res = charpoly(h)
     for key in ("modular_full", "modular_reduced"):
         info = res.timings[key]
         assert len(info["per_prime_s"]) == info["num_primes"]
+
+
+@pytest.mark.parametrize("h, mode", [(complete(5, 3), "early"),
+                                     (single_edge(3), "bound")],
+                         ids=["complete(5,3)", "single_edge(3)"])
+def test_charpoly_records_crt_mode(h, mode):
+    # complete(5,3): 60 bits of phi against 223 predicted; single_edge(3):
+    # the bound needs one prime, fewer than the lift needs to settle
+    t = charpoly(h).timings
+    assert t["crt_mode"] == mode
+    used = t["modular_full"]["num_primes"]
+    if mode == "early":
+        assert used < t["bound_primes"]
+    else:
+        assert used == t["bound_primes"] == 1
+
+
+def test_charpoly_early_lift_caught_by_held_out_prime(monkeypatch):
+    # phi + E with E the product of the CRT primes of phi's own early stop:
+    # E vanishes mod each of them, so the lift settles on phi exactly as
+    # before, and only the held-out prime sees E
+    h = complete(5, 3)
+    clean = charpoly(h)
+    used = clean.timings["modular_full"]["num_primes"]
+    assert clean.timings["crt_mode"] == "early"
+    primes = macaulay._primes_descending(
+        macaulay._prime_bits_for(clean.matrix_size))
+    e = math.prod(itertools.islice(primes, used))
+    fabricated = clean.phi + UniPoly({1: e})
+
+    def phi_plus_e(numer, denom, p):
+        res = [fabricated[i] % p for i in range(fabricated.degree + 1)]
+        return np.array(res, dtype=np.int64), (0.0, 0.0, 0.0)
+
+    monkeypatch.setattr(macaulay, "_phi_mod_prime", phi_plus_e)
+    res = charpoly(h)
+    assert res.phi == fabricated != clean.phi
+    # the held-out prime of the clean run joined the CRT primes
+    assert res.timings["modular_full"]["num_primes"] > used
 
 
 def test_charpoly_checks_survive_python_O():

@@ -147,10 +147,24 @@ def test_lambda_max_is_the_largest_root_of_phi(case):
     assert abs(top - lam) <= 1e-6
 
 
+def _crt_symmetric(primes, residues) -> list:
+    """The integers in the symmetric range that have the given residues."""
+    coeffs = [int(v) for v in residues[0]]
+    modulus = primes[0]
+    for p, res in zip(primes[1:], residues[1:]):
+        minv = pow(modulus % p, p - 2, p)
+        for idx, v in enumerate(res):
+            coeffs[idx] += modulus * ((int(v) - coeffs[idx]) * minv % p)
+        modulus *= p
+    half = modulus // 2
+    return [v - modulus if v > half else v for v in coeffs]
+
+
 def _whole_matrix_phi(h):
     """phi from one kernel on the dense whole N and one on N' per prime,
-    divided mod p and rebuilt by the same CRT: the engine before the block
-    split, as a reference for it."""
+    divided mod p and rebuilt by CRT over every prime the coefficient bound
+    asks for: the engine before the block split and the early stop, as a
+    reference for both."""
     mac = build_macaulay(h)
     full = np.zeros((mac.size, mac.size), dtype=np.int64)
     for r, cols in enumerate(mac.rows):
@@ -174,7 +188,7 @@ def _whole_matrix_phi(h):
             num[e:e + dd + 1] = (num[e:e + dd + 1] - q * den) % p
         assert not num[:dd].any()
         residues.append(quot)
-    return UniPoly(enumerate(macaulay._crt_symmetric(primes, residues)))
+    return UniPoly(enumerate(_crt_symmetric(primes, residues)))
 
 
 @settings(max_examples=50, deadline=None)
