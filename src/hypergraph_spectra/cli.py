@@ -414,7 +414,7 @@ def main(argv=None) -> int:
         ns = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    if getattr(ns, "tol", 1.0) <= 0:
+    if not getattr(ns, "tol", 1.0) > 0:
         print("error: tolerance must be positive", file=sys.stderr)
         return 1
     try:

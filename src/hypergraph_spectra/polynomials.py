@@ -18,6 +18,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 __all__ = [
     "UniPoly",
     "RootSet",
@@ -423,70 +425,26 @@ def _horner(coeffs, z):
     return acc
 
 
-# Aberth's stopping step (relative) and its sweep limit.
-_ABERTH_TOL = 5e-15
-_ABERTH_MAX_ITER = 400
+def _roots_of_square_free(coeffs):
+    """Roots of a square-free polynomial as companion-matrix eigenvalues.
 
-
-def _aberth(coeffs):
-    """Simultaneous (Aberth-Ehrlich) iteration on a square-free polynomial.
-
-    ``coeffs`` ascending, monic floats.  Returns (roots, converged).  A root
-    is frozen once |p(z)| is within Horner's rounding bound
-    4*deg*2^-52*sum|c_i||z|^i, where the steps only follow rounding noise;
-    the iteration has converged when every root is frozen or the largest
-    relative step is at most _ABERTH_TOL.
+    ``coeffs`` ascending, monic floats.  Each eigenvalue from numpy.roots is
+    polished by at most three Newton steps; a step whose value is not finite
+    (Horner's powers of a large root can overflow a double) is skipped.
     """
-    deg = len(coeffs) - 1
-    if deg == 0:
-        return [], True
-    if deg == 1:
-        return [complex(-coeffs[0])], True
-    dcoeffs = [i * coeffs[i] for i in range(1, deg + 1)]
-    abs_coeffs = [abs(c) for c in coeffs]
-    noise = 4.0 * deg * 2.0 ** -52
-    frozen = [False] * deg
-    radius = 1.0 + max(abs(c) for c in coeffs[:-1])
-    z = [radius * 0.8 * cmath.exp(2j * math.pi * (j + 0.37) / deg) + 0.1j
-         for j in range(deg)]
-    converged = False
-    for _ in range(_ABERTH_MAX_ITER):
-        moved = 0.0
-        for j in range(deg):
-            if frozen[j]:
-                continue
-            pv = _horner(coeffs, z[j])
-            if abs(pv) <= noise * _horner(abs_coeffs, abs(z[j])).real:
-                frozen[j] = True
-                continue
-            dv = _horner(dcoeffs, z[j])
-            if dv == 0:
-                z[j] += 1e-8 + 1e-8j
-                moved = math.inf
-                continue
-            ratio = pv / dv
-            s = 0j
-            for i in range(deg):
-                if i != j:
-                    diff = z[j] - z[i]
-                    if diff == 0:
-                        diff = 1e-12
-                    s += 1.0 / diff
-            denom = 1.0 - ratio * s
-            w = ratio if denom == 0 else ratio / denom
-            z[j] -= w
-            moved = max(moved, abs(w) / (1.0 + abs(z[j])))
-        if moved <= _ABERTH_TOL or all(frozen):
-            converged = True
-            break
-    # polish with plain Newton
-    for j in range(deg):
+    dcoeffs = [i * coeffs[i] for i in range(1, len(coeffs))]
+    out = []
+    for z in np.roots(coeffs[::-1]).astype(complex).tolist():
         for _ in range(3):
-            dv = _horner(dcoeffs, z[j])
+            dv = _horner(dcoeffs, z)
             if dv == 0:
                 break
-            z[j] -= _horner(coeffs, z[j]) / dv
-    return z, converged
+            step = z - _horner(coeffs, z) / dv
+            if not cmath.isfinite(step):
+                break
+            z = step
+        out.append(z)
+    return out
 
 
 def _log2_abs_eval(p: UniPoly, z: complex) -> float:
@@ -537,27 +495,27 @@ def numeric_roots(p: UniPoly) -> RootSet:
 
     The exact factor L^r is stripped first.  Yun's square-free decomposition
     of the rest gives its factors and their exact multiplicities, and each
-    factor is solved by Aberth iteration.  A root that overflows or an
-    iteration that does not converge raises ArithmeticError.
+    factor's roots are its companion-matrix eigenvalues (numpy.roots) with a
+    Newton polish.  A failed eigensolver or a root that overflows raises
+    ArithmeticError.
     """
     if p.is_zero:
         raise ValueError("zero polynomial has no finite root set")
     r0 = min(p.coefficients())
     roots = [(0j, r0)] if r0 else []
     stripped = UniPoly({d - r0: v for d, v in p.coefficients().items()})
-    converged = True
     for factor, mult in square_free_decomposition(stripped):
-        vals, ok = _aberth(_scaled_float_coeffs(factor))
+        try:
+            vals = _roots_of_square_free(_scaled_float_coeffs(factor))
+        except np.linalg.LinAlgError as exc:
+            raise ArithmeticError(f"eigenvalue solver failed on a factor of "
+                                  f"degree {factor.degree}: {exc}") from None
         if not all(map(cmath.isfinite, vals)):
             raise ArithmeticError(
-                f"root iteration overflowed on a factor of degree {factor.degree}")
-        converged = converged and ok
+                f"root overflowed on a factor of degree {factor.degree}")
         roots.extend((v, mult) for v in vals)
     residuals = [poly_residual(p, v) for v, _ in roots]
     rs = RootSet(roots=roots, residuals=residuals)
     if rs.total_multiplicity != p.degree:
         raise ArithmeticError("root multiplicities do not sum to the degree")
-    if not converged:
-        worst = max(residuals) if residuals else 0.0
-        raise ArithmeticError(f"root iteration did not converge; residual {worst:.3e}")
     return rs

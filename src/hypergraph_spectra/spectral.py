@@ -206,7 +206,7 @@ def lambda_max(h: Hypergraph, tol: float = 1e-8,
     component's vector extended by zeros (still an exact eigenpair of the
     union) and the summed iteration count.
     """
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tolerance must be positive")
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")

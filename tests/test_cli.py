@@ -215,6 +215,15 @@ def test_usage_errors(capsys):
     assert code == 1 and "positive" in err
 
 
+def test_nan_tolerance_is_an_input_error(capsys):
+    for args in (("lambda-max", "--family", "complete:n=5,k=3"),
+                 ("verify", "--family", "single-edge", "--k", "3",
+                  "--value", "1", "--vector", "1,1,1")):
+        code, out, err = run(capsys, *args, "--tol", "nan")
+        assert code == 1 and out == "", args
+        assert "tolerance must be positive" in err
+
+
 def test_lambda_max_rejects_zero_iterations(capsys):
     code, out, err = run(capsys, "lambda-max", "--family", "complete:n=4,k=3",
                          "--max-iter", "0")

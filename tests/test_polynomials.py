@@ -4,6 +4,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from hypergraph_spectra import polynomials
@@ -251,14 +252,12 @@ def test_numeric_roots_product_invariant():
         assert abs(prod - want) < 1e-6 * max(1.0, abs(want))
 
 
-def test_numeric_roots_stall_at_rounding_level():
-    # the degree-27 square-free factor (multiplicity 2) of this graph's phi
-    # reaches residuals near 1e-16 while its relative steps keep swinging
-    # between 5e-15 and 1e-14; those roots are settled, not stalled
+def test_numeric_roots_degree_80_charpoly_at_rounding_level():
+    # phi of this graph has a degree-27 square-free factor of multiplicity 2
     h = Hypergraph(5, 3, [(0, 3, 4), (0, 3, 2), (0, 3, 1), (0, 4, 1),
                           (3, 4, 2)])
     phi = charpoly(h).phi
-    rs = numeric_roots(phi)  # non-convergence raises
+    rs = numeric_roots(phi)
     assert rs.total_multiplicity == phi.degree == 80
     assert max(rs.residuals) < 1e-15
 
@@ -294,13 +293,26 @@ def test_numeric_roots_degree_1024_charpoly_meets_lambda_max():
     assert abs(top - lambda_max(h).value) <= 1e-6
 
 
-def test_numeric_roots_overflow_raises_arithmetic_error():
-    # Aberth starts on a circle of radius 1 + max|c_i|, where the powers of
-    # these iterates overflow a double
+def test_numeric_roots_of_huge_modulus():
+    # |root| = 1e100: Horner's powers stay finite, but the coefficients span
+    # 200 and 300 decimal orders
     for p in (UniPoly({2: 1, 0: -10**200}), UniPoly({3: 1, 0: -10**300})):
-        with pytest.raises(ArithmeticError,
-                           match=f"overflowed on a factor of degree {p.degree}"):
-            numeric_roots(p)
+        rs = numeric_roots(p)
+        assert len(rs.roots) == p.degree
+        for z, m in rs.roots:
+            assert m == 1
+            assert abs(abs(z) - 1e100) <= 1e-12 * 1e100
+        assert all(r < 1e-15 for r in rs.residuals)
+
+
+def test_numeric_roots_maps_an_eigensolver_failure(monkeypatch):
+    # numpy's LinAlgError is a ValueError, which callers read as bad input
+    def failing(coeffs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np, "roots", failing)
+    with pytest.raises(ArithmeticError, match="factor of degree 3"):
+        numeric_roots(UniPoly({3: 1, 0: -2}))
 
 
 def test_poly_residual_scales():

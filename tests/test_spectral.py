@@ -141,6 +141,12 @@ def test_lambda_max_rejects_zero_iterations():
         lambda_max(Hypergraph(4, 3, []), max_iter=-1)
 
 
+def test_lambda_max_rejects_nan_tolerance():
+    # NaN compares false with every bound, so no enclosure could ever pass
+    with pytest.raises(ValueError, match="tolerance must be positive"):
+        lambda_max(complete(4, 3), tol=float("nan"))
+
+
 def test_link_sums_match_hypermatrix():
     # (A x^(k-1))_i sums x^t over ordered (k-1)-tuples t with (i,)+t an
     # edge; each edge through i appears (k-1)! times
@@ -392,10 +398,14 @@ def test_complete3_spectrum_n4():
 
 
 def test_complete3_spectrum_n5_verified():
-    spec = complete3_spectrum(5)
-    assert any(abs(v - 6) < 1e-9 for v in spec.values)  # C(4,2)
-    for r in spec.residuals:
-        assert r < 1e-6
+    for n, distinct in ((5, 8), (6, 9), (7, 11)):
+        spec = complete3_spectrum(n)
+        assert len(spec.values) == distinct, n
+        assert any(abs(v - math.comb(n - 1, 2)) < 1e-9 for v in spec.values)
+        assert all(r < 1e-14 for r in spec.residuals), n
+    phi = charpoly(complete(5, 3)).phi
+    assert all(poly_residual(phi, v) < 1e-12
+               for v in complete3_spectrum(5).values)
 
 
 def test_cartesian_eigenpair():
