@@ -309,40 +309,18 @@ def enumerate_monomials(n: int, d: int) -> list:
 
 
 def _poly_gcd(p: UniPoly, q: UniPoly) -> UniPoly:
-    """Primitive gcd in Z[L] via the subresultant remainder sequence."""
-    if p.is_zero:
-        return q.primitive()[0] if not q.is_zero else UniPoly()
-    if q.is_zero:
-        return p.primitive()[0]
-    a, _ = p.primitive()
-    b, _ = q.primitive()
+    """Primitive gcd in Z[L], with a positive leading coefficient.
+
+    Primitive remainder sequence (Knuth, TAOCP vol. 2, 4.6.1): each
+    pseudo-remainder is divided by its content.  gcd(0, 0) is 0.
+    """
+    a, b = p.primitive()[0], q.primitive()[0]
     if a.degree < b.degree:
         a, b = b, a
-    g, h = 1, 1
-    while True:
-        delta = a.degree - b.degree
-        # pseudo-remainder of a by b
-        lead = b.leading_coefficient
-        rem = a * (lead ** (delta + 1))
-        rem = rem.divide(b)[1]
-        if rem.is_zero:
-            return b.primitive()[0]
-        if b.degree == 0 or rem.degree == 0:
-            return UniPoly.one()
-        divisor = g * h**delta
-        a = b
-        b = UniPoly({d: _exact_div(v, divisor)
-                     for d, v in rem.coefficients().items()})
-        g = a.leading_coefficient
-        h = _exact_div(g**delta * h, h**delta) if delta else h
-
-
-def _exact_div(a: int, b: int) -> int:
-    """a / b, which the subresultant theory says is an integer."""
-    q, r = divmod(a, b)
-    if r:
-        raise ArithmeticError("inexact division in the subresultant gcd")
-    return q
+    while b:
+        scale = b.leading_coefficient ** (a.degree - b.degree + 1)
+        a, b = b, (a * scale).divide(b)[1].primitive()[0]
+    return a
 
 
 def _exact_quotient(p: UniPoly, q: UniPoly) -> UniPoly:
@@ -377,7 +355,7 @@ def square_free_decomposition(p: UniPoly) -> list:
     while c.degree > 0:
         a = _poly_gcd(c, w)
         if a.degree > 0:
-            out.append((a.primitive()[0], i))
+            out.append((a, i))
             c = _exact_quotient(c, a)
             w = _exact_quotient(w, a)
         w = w - c.derivative()
@@ -415,6 +393,9 @@ def _scaled_float_coeffs(p: UniPoly):
         except OverflowError:
             raise ArithmeticError(
                 "coefficient ratio too large for float root finding") from None
+        if not out[d]:
+            raise ArithmeticError(
+                "coefficient ratio too small for float root finding")
     return out
 
 

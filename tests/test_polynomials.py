@@ -14,6 +14,7 @@ from hypergraph_spectra.spectral import lambda_max
 from hypergraph_spectra.polynomials import (
     UniPoly,
     _log2_abs_eval,
+    _poly_gcd,
     enumerate_monomials,
     numeric_roots,
     poly_residual,
@@ -168,6 +169,29 @@ def test_square_free_decomposition():
     assert by_mult[1] == UniPoly({1: 1, 0: 2})
 
 
+def test_poly_gcd_is_the_primitive_common_divisor():
+    rng = random.Random(13)
+
+    def rand_poly(deg):
+        coeffs = {d: rng.randint(-9, 9) for d in range(deg)}
+        coeffs[deg] = rng.choice([-3, -2, -1, 1, 2, 3])
+        return UniPoly(coeffs) * rng.choice([-6, -1, 1, 4])
+
+    for _ in range(60):
+        a, b, g = (rand_poly(rng.randint(0, 5)) for _ in range(3))
+        ag, bg = a * g, b * g
+        got = _poly_gcd(ag, bg)
+        for multiple in (ag, bg):
+            assert multiple.divide(got)[1] == 0
+        assert got.divide(g.primitive()[0])[1] == 0
+        assert got.content() == 1 and got.leading_coefficient > 0
+        assert _poly_gcd(bg, ag) == got
+        assert _poly_gcd(ag, UniPoly()) == ag.primitive()[0]
+        assert _poly_gcd(UniPoly(), ag) == ag.primitive()[0]
+    assert _poly_gcd(UniPoly(), UniPoly()) == UniPoly()
+    assert _poly_gcd(UniPoly({0: 6}), UniPoly({0: -35})) == 1
+
+
 def test_square_free_decomposition_rejects_a_non_divisor(monkeypatch):
     p = UniPoly({1: 1, 0: -1}) ** 2 * UniPoly({1: 1, 0: 2})
     monkeypatch.setattr(polynomials, "_poly_gcd",
@@ -303,6 +327,13 @@ def test_numeric_roots_of_huge_modulus():
             assert m == 1
             assert abs(abs(z) - 1e100) <= 1e-12 * 1e100
         assert all(r < 1e-15 for r in rs.residuals)
+
+
+def test_numeric_roots_refuses_a_ratio_that_underflows():
+    # the roots are +-1e-200i; c_0 / c_2 = 1e-400 rounds to 0.0, which would
+    # put both roots at 0 with residual 1
+    with pytest.raises(ArithmeticError, match="too small"):
+        numeric_roots(UniPoly({2: 10**400, 0: 1}))
 
 
 def test_numeric_roots_maps_an_eigensolver_failure(monkeypatch):
