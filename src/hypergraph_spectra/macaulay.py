@@ -8,25 +8,27 @@ lambda*I - N for a 0/1 integer matrix N, the quotient by the minor on rows
 whose monomial has two or more coordinates >= k-1 is exact, and the result
 is the monic characteristic polynomial of degree n(k-1)^(n-1).
 
-phi is computed by one exact engine: for each prime the characteristic
-polynomials of N and of its minor N' are divided modulo p, and each prime's
-residues are folded into a running CRT lift of phi's coefficients.  Every
-root of phi is an eigenvalue, so its modulus is at most the maximum degree
-Delta, which bounds each coefficient a priori.  The bound is loose, so the
-loop stops as soon as the lift has stayed unchanged over two primes and a
-held-out prime agrees with it ("early"); otherwise it stops once the primes
-cover the bound, and the held-out prime must agree ("bound").
-
 N is never built densely.  Ordered by the strongly connected components of
 its digraph (Tarjan 1972; Duff and Reid 1978), N is block upper triangular,
 so its characteristic polynomial is the product of its diagonal blocks';
 the same holds for N' on the digraph induced on the rows it keeps.  A
 component of N whose rows are all kept is also one of N', so its factor
-cancels from the quotient and never reaches a kernel.  The remaining
-blocks are grouped by their sparsity pattern, only the distinct ones are
-made dense, and each prime runs one kernel per distinct block, raised to
-its multiplicity.  Guards refuse a job on its predicted bytes and kernel
-operations before either is spent.
+cancels from the quotient.  The remaining blocks are grouped by their
+sparsity pattern, each pattern with its net exponent: its multiplicity in N
+minus its multiplicity in N'.  Only the patterns whose net exponent is not
+zero are made dense.
+
+Each distinct block's integer characteristic polynomial is lifted on its
+own, one kernel per prime folded into a running CRT lift.  A principal
+minor of order j of an s-row 0/1 block whose rows hold at most Delta_B
+ones is at most Delta_B^(j/2) in modulus (Hadamard), so its coefficients
+obey |c_j| <= C(s, j)*Delta_B^(j/2).  The bound is loose, so the lift stops
+as soon as it has stayed unchanged over two primes and a held-out prime
+agrees with it ("early"); otherwise it stops once the primes cover the
+bound, and the held-out prime must agree ("bound").  Equal polynomials
+merge their net exponents, and phi is the exact quotient of the product
+of the positive powers by the product of the negative ones.  Guards refuse
+a job on its predicted bytes and kernel operations before either is spent.
 """
 
 from __future__ import annotations
@@ -136,10 +138,12 @@ def build_macaulay(h: Hypergraph) -> MacaulayMatrix:
 # -- coefficient-size prediction ----------------------------------------------
 
 
-def predicted_coefficient_bits(degree: int, root_bound: int) -> int:
-    """Upper bound in bits, sign included, on the coefficients of a monic
-    integer polynomial whose roots are at most root_bound in modulus:
-    |c_j| <= C(degree, j)*root_bound^j.
+def predicted_coefficient_bits(degree: int, root_bound: float) -> int:
+    """Upper bound in bits, sign included, on |c_j| <= C(degree, j)*r^j with
+    r = root_bound: the coefficients of a monic integer polynomial whose
+    roots are at most r in modulus, or of the charpoly of a 0/1 matrix whose
+    rows hold at most r^2 ones (each principal minor of order j is at most
+    r^j by Hadamard's inequality).
     """
     if degree == 0:
         return 1
@@ -215,52 +219,76 @@ def _group_blocks(rows, comps) -> dict:
     return groups
 
 
-def _dense(groups) -> list:
-    """[dense 0/1 block, multiplicity] for each pattern in groups."""
-    out = []
-    for pattern, mult in groups.items():
-        mat = np.zeros((len(pattern), len(pattern)), dtype=np.int64)
-        for i, cols in enumerate(pattern):
-            mat[i, list(cols)] = 1
-        out.append([mat, mult])
-    return out
+def _dense(pattern) -> np.ndarray:
+    """The dense 0/1 block of a pattern."""
+    mat = np.zeros((len(pattern), len(pattern)), dtype=np.int64)
+    for i, cols in enumerate(pattern):
+        mat[i, list(cols)] = 1
+    return mat
 
 
-def _diagonal_blocks(mac: MacaulayMatrix, primes: int = 1):
+def _lift_primes(pattern) -> list:
+    """The CRT primes whose product covers the Hadamard bound on a block's
+    charpoly coefficients, with 8 bits to spare, then one held-out prime.
+    """
+    bits = predicted_coefficient_bits(
+        len(pattern), math.sqrt(max(map(len, pattern))))
+    gen = _primes_descending(_prime_bits_for(len(pattern)))
+    primes, total = [], 0.0
+    while total < bits + 8:
+        primes.append(next(gen))
+        total += math.log2(primes[-1])
+    primes.append(next(gen))
+    return primes
+
+
+def _diagonal_blocks(mac: MacaulayMatrix):
     """The distinct diagonal blocks of N and N' that reach a kernel, as
-    lists of [dense block, multiplicity], and the block counts.  The
-    components of N with every row kept in N' cancel and are left out.
-    GuardError refuses, before any block is made dense, blocks predicted to
-    take more than _MAX_BYTES, or _MAX_KERNEL_OPS over this many primes.
+    (dense block, net exponent, lift primes), and the block counts with the
+    primes their bounds ask for.  The net exponent is the block's
+    multiplicity in N minus that in N'; the components of N with every row
+    kept in N', and the patterns whose net exponent is 0, cancel and are
+    left out.  GuardError refuses, before any block is made dense, blocks
+    predicted to take more than _MAX_BYTES, or more than _MAX_KERNEL_OPS
+    with a kernel on every lift prime.
     """
     comps = _strong_components(dict(enumerate(mac.rows)))
     live = [c for c in comps if any(mac.reduced[r] for r in c)]
     kept = {r: mac.rows[r] for c in live for r in c if not mac.reduced[r]}
-    numer = _group_blocks(mac.rows, live)
-    denom = _group_blocks(mac.rows, _strong_components(kept))
-    sizes = [len(pattern) for pattern in [*numer, *denom]]
-    top = max(sizes, default=0)
+    net = _group_blocks(mac.rows, live)
+    for pattern, mult in _group_blocks(
+            mac.rows, _strong_components(kept)).items():
+        net[pattern] = net.get(pattern, 0) - mult
+    primes = {pattern: _lift_primes(pattern)
+              for pattern, e in net.items() if e}
+    top = max(map(len, primes), default=0)
     # the dense blocks, then the kernel's copy, table and two temporaries
-    est = {"predicted_bytes": 8 * (sum(s * s for s in sizes) + 4 * top ** 2),
-           "predicted_ops": primes * sum(s ** 3 for s in sizes),
+    est = {"predicted_bytes": 8 * (sum(len(pt) ** 2 for pt in primes)
+                                   + 4 * top ** 2),
+           "predicted_ops": sum(len(pt) ** 3 * len(ps)
+                                for pt, ps in primes.items()),
            "max_bytes": _MAX_BYTES, "max_kernel_ops": _MAX_KERNEL_OPS,
-           "largest_block": top, "distinct_blocks": len(sizes),
-           "primes": primes}
+           "largest_block": top, "distinct_blocks": len(primes),
+           "bound_primes": sum(len(ps) - 1 for ps in primes.values())}
     if est["predicted_bytes"] > _MAX_BYTES or \
             est["predicted_ops"] > _MAX_KERNEL_OPS:
         raise GuardError(
-            f"{len(sizes)} distinct blocks of up to {top} rows on {primes} "
-            f"primes would take {est['predicted_ops']:.2g} kernel operations "
-            f"and {est['predicted_bytes'] >> 20} MiB (budgets "
+            f"{len(primes)} distinct blocks of up to {top} rows, each on its "
+            f"bound's primes and a held-out one, would take "
+            f"{est['predicted_ops']:.2g} kernel operations and "
+            f"{est['predicted_bytes'] >> 20} MiB (budgets "
             f"{_MAX_KERNEL_OPS:.2g} and {_MAX_BYTES >> 20} MiB)", est)
+    blocks = [(_dense(pattern), net[pattern], ps)
+              for pattern, ps in primes.items()]
     stats = {"blocks": len(comps),
              "largest_block": max(map(len, comps), default=0),
              "cancelled_blocks": len(comps) - len(live),
-             "distinct_blocks": len(numer) + len(denom)}
-    return _dense(numer), _dense(denom), stats
+             "distinct_blocks": len(blocks),
+             "bound_primes": est["bound_primes"]}
+    return blocks, stats
 
 
-# -- phi modulo a prime, and CRT -----------------------------------------------
+# -- block charpolys modulo a prime, and CRT -----------------------------------
 
 
 def _is_prime(q: int) -> bool:
@@ -341,46 +369,6 @@ def _charpoly_mod_prime(mat: np.ndarray, p: int) -> np.ndarray:
     return out
 
 
-def _block_product_mod_prime(groups, p: int) -> np.ndarray:
-    """Product mod p of the blocks' charpolys, each raised to its
-    multiplicity; one kernel per distinct block.  The factors' degrees sum
-    to at most the matrix size, which the prime size allows for.
-    """
-    out = np.ones(1, dtype=np.int64)
-    for mat, mult in groups:
-        base = _charpoly_mod_prime(mat, p)
-        while mult:
-            if mult & 1:
-                out = np.convolve(out, base) % p
-            mult >>= 1
-            if mult:
-                base = np.convolve(base, base) % p
-    return out
-
-
-def _phi_mod_prime(numer, denom, p: int):
-    """phi mod p, ascending: the product of N's block charpolys divided by
-    the monic product of N''s, where a nonzero remainder raises
-    ArithmeticError.  Also returns the seconds of the N kernels, the N'
-    kernels and the division.
-    """
-    t0 = time.perf_counter()
-    rem = _block_product_mod_prime(numer, p)
-    t1 = time.perf_counter()
-    den = _block_product_mod_prime(denom, p)
-    t2 = time.perf_counter()
-    dd = len(den) - 1
-    quot = np.zeros(len(rem) - dd, dtype=np.int64)
-    for e in range(len(quot) - 1, -1, -1):
-        q = quot[e] = rem[e + dd]
-        if q:
-            rem[e:e + dd + 1] = (rem[e:e + dd + 1] - q * den) % p
-    if np.any(rem[:dd]):
-        raise ArithmeticError(
-            f"charpoly of N' leaves a nonzero remainder mod {p}")
-    return quot, (t1 - t0, t2 - t1, time.perf_counter() - t2)
-
-
 def _crt_step(lift, modulus, residues, p):
     """One Garner step: the lift, in the symmetric range mod modulus, moved
     to the integers in the symmetric range mod modulus*p that also have the
@@ -396,6 +384,29 @@ def _crt_step(lift, modulus, residues, p):
     return out, new_mod
 
 
+def _lift_block(mat: np.ndarray, primes: list):
+    """A block's integer charpoly coefficients, ascending, and the primes
+    folded into their lift.  Primes are folded until the lift has stayed
+    unchanged over two of them, or they cover the bound; the next prime is
+    held out.  A disagreement at the held-out prime before the bound makes
+    it join the CRT primes, and at the bound (the last of primes) raises.
+    No prime agrees with the zero start: the charpoly is monic.
+    """
+    bound = len(primes) - 1
+    lift, modulus, steady = [0] * (len(mat) + 1), 1, 0
+    for folded, p in enumerate(primes):
+        residues = _charpoly_mod_prime(mat, p)
+        agrees = not any((c - int(v)) % p for c, v in zip(lift, residues))
+        if agrees and (steady == 2 or folded == bound):
+            return lift, folded
+        if folded == bound:
+            raise ArithmeticError(
+                f"a block's charpoly failed verification at the held-out "
+                f"prime {p}")
+        lift, modulus = _crt_step(lift, modulus, residues, p)
+        steady = steady + 1 if agrees else 0
+
+
 # -- public characteristic polynomial -------------------------------------------
 
 
@@ -406,19 +417,18 @@ class CharPolyResult:
     method is "modular" for a direct computation and "disjoint" for a
     result combined from connected components (kept in components).  detM
     and detMprime stay None: phi is rebuilt without either determinant.
-    The timings of a direct result hold predicted_bits, the certified bound
-    on phi's coefficient bits with the sign, beside phi_bits, the actual
-    bits; crt_mode, "early" when the lift settled before its primes covered
-    that bound and "bound" when they covered it, and bound_primes, the CRT
-    primes the bound needs.  modular_full and modular_reduced give the CRT
-    primes (num_primes), the last held-out prime (verification_prime) and
-    the seconds of N's and N''s block kernels and products on each CRT
-    prime (det_full_s and det_reduced_s sum them over every prime, the
-    held-out ones included; divide_s sums the divisions mod p).  blocks
-    counts the strongly connected components of N, largest_block is the
-    rows of the largest, cancelled_blocks counts those shared with N', and
-    distinct_blocks the blocks of N and N' that reach a kernel on each
-    prime; split_s is the time to find and group them.
+    The timings of a direct result describe the blocks: blocks counts the
+    strongly connected components of N, largest_block is the rows of the
+    largest, cancelled_blocks counts those shared with N', distinct_blocks
+    the blocks whose charpoly is lifted, and split_s is the time to find
+    and group them.  crt_mode counts the distinct blocks by how their lift
+    stopped, {"early": .., "bound": ..}; primes sums the CRT primes folded
+    into their lifts and bound_primes the primes their bounds ask for;
+    kernel_calls counts the kernels run, held-out primes included, and
+    kernel_ops sums s^3 over them.  det_full_s and det_reduced_s are the
+    seconds of the lifts of the blocks with a positive net exponent (N's)
+    and a negative one (N''s), divide_s the exact division, and phi_bits
+    the bits of phi's largest coefficient.
     """
 
     phi: UniPoly
@@ -439,22 +449,23 @@ def charpoly(h: Hypergraph) -> CharPolyResult:
     """Exact characteristic polynomial of a k-uniform hypergraph.
 
     phi = det(lambda*I - N) / det(lambda*I - N').  N and N' are split into
-    the diagonal blocks of their strongly connected components; the blocks
-    N and N' share cancel, and for each prime the products of the other
-    blocks' characteristic polynomials, one kernel per distinct block, are
-    divided mod p.  Each prime's residues of phi's coefficients alone are
-    folded into a CRT lift.  Once the lift has stayed unchanged over two
-    primes, the next prime is held out: if it agrees, phi is returned
-    (crt_mode "early"), and if not, it joins the CRT primes and the loop
-    goes on.  Otherwise the primes cover the certificate
-    |c_j| <= C(D, j)*Delta^j, which holds because every root of phi has
-    modulus at most the maximum degree Delta, and the held-out prime must
-    agree or ArithmeticError is raised (crt_mode "bound").  A disconnected
-    input is split into components, each with its own matrix and guard,
-    and their polynomials are combined by the disjoint-union power
-    identity, which avoids the much larger joint matrix.  GuardError
-    refuses a job whose predicted bytes or kernel operations, over every
-    prime the bound could need, exceed the module's budgets.
+    the diagonal blocks of their strongly connected components, each
+    distinct block with its net exponent, its multiplicity in N minus that
+    in N'.  Each block's integer charpoly is lifted by CRT on its own
+    primes; once the lift has stayed unchanged over two primes, the next
+    one is held out, and the lift is taken if it agrees ("early") or goes
+    on if not.  Otherwise the primes cover the block's certificate
+    |c_j| <= C(s, j)*Delta_B^(j/2), Hadamard's bound for an s-row 0/1 block
+    whose rows hold at most Delta_B ones, and the held-out prime must agree
+    or ArithmeticError is raised ("bound").  Equal charpolys merge their
+    exponents, and phi is the exact quotient of the positive powers'
+    product by the negative powers'; a remainder, a non-monic quotient or
+    a wrong degree raises ArithmeticError.  A disconnected input is split
+    into components, each with its own matrix and guard, and their
+    polynomials are combined by the disjoint-union power identity, which
+    avoids the much larger joint matrix.  GuardError refuses a job whose
+    predicted bytes or kernel operations, with every block on its bound's
+    primes and a held-out one, exceed the module's budgets.
     """
     t_start = time.perf_counter()
     comps = [sub for sub, _verts in h.components()]
@@ -485,50 +496,37 @@ def _charpoly_direct(h: Hypergraph) -> CharPolyResult:
     expected_degree = h.n * (h.k - 1) ** (h.n - 1)
     mac = build_macaulay(h)
     t_build = time.perf_counter()
-    # every row of N holds one 1 per edge at its vertex: max_row_sum = Delta
-    bits = predicted_coefficient_bits(expected_degree, mac.max_row_sum)
-    gen = _primes_descending(_prime_bits_for(mac.size))
-    primes, total = [], 0.0
-    while total < bits + 8:
-        primes.append(next(gen))
-        total += math.log2(primes[-1])
-    bound_primes = len(primes)
-    primes.append(next(gen))
-    numer, denom, blocks = _diagonal_blocks(mac, len(primes))
+    blocks, stats = _diagonal_blocks(mac)
     t_split = time.perf_counter()
-    # fold primes into the lift until it has stayed unchanged over two
-    # primes, or the folded primes cover the bound; the next prime is held
-    # out.  Folded primes are a prefix of `primes`, so the loop ends by the
-    # bound's held-out prime: a disagreement there raises, one before it
-    # joins the CRT primes.  No prime agrees with the zero start: phi is
-    # monic.
-    lift, modulus, steady, times = [0] * (expected_degree + 1), 1, 0, []
-    for folded, p in enumerate(primes):
-        residues, secs = _phi_mod_prime(numer, denom, p)
-        times.append(secs)
-        agrees = not any((c - int(v)) % p for c, v in zip(lift, residues))
-        if agrees and (steady == 2 or folded == bound_primes):
-            break
-        if folded == bound_primes:
-            raise ArithmeticError(
-                f"phi failed verification at the held-out prime {p}")
-        lift, modulus = _crt_step(lift, modulus, residues, p)
-        steady = steady + 1 if agrees else 0
-    phi = UniPoly(enumerate(lift))
-    if not phi.is_monic or phi.degree != expected_degree:
+    exponents, det_s = {}, [0.0, 0.0]
+    info = {"crt_mode": {"early": 0, "bound": 0}, "primes": 0,
+            "kernel_calls": 0, "kernel_ops": 0}
+    for mat, net, primes in blocks:
+        t0 = time.perf_counter()
+        lift, folded = _lift_block(mat, primes)
+        det_s[net < 0] += time.perf_counter() - t0
+        key = tuple(lift)
+        exponents[key] = exponents.get(key, 0) + net
+        info["crt_mode"]["early" if folded < len(primes) - 1 else "bound"] += 1
+        info["primes"] += folded
+        info["kernel_calls"] += folded + 1
+        info["kernel_ops"] += (folded + 1) * len(mat) ** 3
+    t_div = time.perf_counter()
+    num, den = UniPoly.one(), UniPoly.one()
+    for coeffs, e in exponents.items():
+        if e > 0:
+            num = num * UniPoly(enumerate(coeffs)) ** e
+        elif e < 0:
+            den = den * UniPoly(enumerate(coeffs)) ** -e
+    phi, rem = num.divide(den)
+    if rem or not phi.is_monic or phi.degree != expected_degree:
         raise ArithmeticError(
-            f"phi is not monic of degree {expected_degree}")
-    full_s, minor_s, divide_s = zip(*times)
-    info = {"num_primes": folded, "verification_prime": p}
+            f"the blocks' charpolys do not divide to a monic phi of degree "
+            f"{expected_degree}")
     timings = {"build_s": t_build - t_start, "split_s": t_split - t_build,
-               **blocks, "predicted_bits": bits,
-               "phi_bits": phi.max_coefficient_bits(),
-               "crt_mode": "early" if folded < bound_primes else "bound",
-               "bound_primes": bound_primes,
-               "modular_full": dict(info, per_prime_s=list(full_s[:-1])),
-               "modular_reduced": dict(info, per_prime_s=list(minor_s[:-1])),
-               "det_full_s": sum(full_s), "det_reduced_s": sum(minor_s),
-               "divide_s": sum(divide_s),
+               **stats, **info, "phi_bits": phi.max_coefficient_bits(),
+               "det_full_s": det_s[0], "det_reduced_s": det_s[1],
+               "divide_s": time.perf_counter() - t_div,
                "total_s": time.perf_counter() - t_start}
     return CharPolyResult(phi=phi, method="modular", matrix_size=mac.size,
                           reduced_size=mac.size - mac.reduced_count,

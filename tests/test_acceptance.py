@@ -87,7 +87,7 @@ def test_c10_ultracube_stretch():
     non-gating stretch run behind RUN_STRETCH=1."""
     _check("10-consistency", ["ultracube-q32-product-consistency"])
     if not os.environ.get("RUN_STRETCH"):
-        pytest.skip("direct matrix has 43758 rows (about 50 s); "
+        pytest.skip("direct matrix has 43758 rows (about 8 s); "
                     "set RUN_STRETCH=1 to attempt the full computation")
     rows = repro.run_claims(["ultracube-q32-charpoly"])
     # non-gating: report the outcome either way

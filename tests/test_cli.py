@@ -66,20 +66,22 @@ def test_charpoly_stderr_reports_bits(capsys):
     code, _, err = run(capsys, "charpoly", "--family", "single-edge", "--k", "3")
     assert code == 0
     timings = json.loads(err.split("timings=", 1)[1])
-    # phi = L^12 - 3L^9 + 3L^6 - L^3 against C(12, 6) = 924 < 2^10, plus a sign
+    # phi = L^12 - 3L^9 + 3L^6 - L^3; its 3- and 1-row blocks each need
+    # one prime for their bounds, before a lift could settle, and a
+    # held-out prime
     assert timings["phi_bits"] == 2
-    assert timings["predicted_bits"] == 11
-    # one prime covers the bound, before the lift could settle
-    assert timings["crt_mode"] == "bound"
-    assert timings["bound_primes"] == 1
-    assert timings["modular_full"]["num_primes"] == 1
+    assert timings["crt_mode"] == {"early": 0, "bound": 2}
+    assert timings["bound_primes"] == timings["primes"] == 2
+    assert timings["kernel_calls"] == 4
+    assert timings["kernel_ops"] == 2 * 3 ** 3 + 2 * 1 ** 3
     code, _, err = run(capsys, "charpoly", "--family", "complete:n=5,k=3")
     assert code == 0
     timings = json.loads(err.split("timings=", 1)[1])
-    # 60 bits of phi settle on three 25-bit primes; the bound asks for ten
-    assert timings["crt_mode"] == "early"
-    assert timings["bound_primes"] == 10
-    assert timings["modular_full"]["num_primes"] < 10
+    # the 137-row block's 80 bits settle on six 25-bit primes; its bound
+    # asks for eleven
+    assert timings["crt_mode"] == {"early": 1, "bound": 4}
+    assert timings["bound_primes"] == 16
+    assert timings["primes"] == 11
 
 
 def test_charpoly_stderr_reports_cancelled_blocks(capsys, tmp_path):
@@ -267,7 +269,7 @@ def test_charpoly_guard_prints_the_estimate(capsys):
     assert message.startswith("error: ") and "kernel operations" in message
     estimate = json.loads(estimate)
     assert estimate["predicted_ops"] > estimate["max_kernel_ops"]
-    assert estimate["largest_block"] > 0 and estimate["primes"] > 0
+    assert estimate["largest_block"] > 0 and estimate["bound_primes"] > 0
 
 
 def test_repro_checks_every_claim_id_before_running(capsys, monkeypatch):

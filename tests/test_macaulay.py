@@ -153,8 +153,9 @@ def _count_calls(monkeypatch, name):
 
 
 def test_guard_raises_with_estimate(monkeypatch):
-    # complete(6,4): 10 distinct blocks of up to 3187 rows on 212 primes,
-    # about 6.9e12 kernel operations; refused before a block is made dense
+    # complete(6,4): 8 distinct blocks of up to 3187 rows whose bounds ask
+    # for 349 primes, about 8.5e12 kernel operations with a held-out prime
+    # each; refused before a block is made dense
     dense = _count_calls(monkeypatch, "_dense")
     kernels = _count_calls(monkeypatch, "_charpoly_mod_prime")
     with pytest.raises(GuardError) as ei:
@@ -162,9 +163,10 @@ def test_guard_raises_with_estimate(monkeypatch):
     est = ei.value.estimate
     assert set(est) == {"predicted_bytes", "predicted_ops", "max_bytes",
                         "max_kernel_ops", "largest_block", "distinct_blocks",
-                        "primes"}
+                        "bound_primes"}
     assert est["predicted_ops"] > est["max_kernel_ops"]
-    assert est["largest_block"] == 3187 and est["primes"] == 212
+    assert est["largest_block"] == 3187 and est["distinct_blocks"] == 8
+    assert est["bound_primes"] == 349
     assert dense == [] and kernels == []
     # the sparse build is refused before any monomial is enumerated:
     # ultracube(3,3) would have C(54, 26) rows
@@ -180,14 +182,14 @@ def test_guard_raises_with_estimate(monkeypatch):
 @pytest.mark.parametrize("h", [ultracube(3, 2), complete(7, 3)],
                          ids=["ultracube(3,2)", "complete(7,3)"])
 def test_guard_admits_large_inputs(monkeypatch, h):
-    # the first prime's kernels would run next; none does here
+    # the first block's first kernel would run next; none does here
     class PastTheGuard(Exception):
         pass
 
     def sentinel(*args):
         raise PastTheGuard
 
-    monkeypatch.setattr(macaulay, "_phi_mod_prime", sentinel)
+    monkeypatch.setattr(macaulay, "_charpoly_mod_prime", sentinel)
     with pytest.raises(PastTheGuard):
         charpoly(h)
 
@@ -211,9 +213,6 @@ def test_one_by_one_block_contributes_lambda():
     p = 101
     zero = np.zeros((1, 1), dtype=np.int64)
     assert macaulay._charpoly_mod_prime(zero, p).tolist() == [0, 1]
-    # a block of multiplicity 3 contributes lambda^3
-    prod = macaulay._block_product_mod_prime([[zero, 3]], p)
-    assert prod.tolist() == [0, 0, 0, 1]
 
 
 def test_two_disjoint_3edges_cancel_blocks():
@@ -330,52 +329,87 @@ def test_charpoly_codegree_closed_forms_random():
         assert phi.coeff_at_codegree(3) == want
 
 
-def test_charpoly_one_kernel_time_per_crt_prime():
-    # one serial prime loop: one kernel time per CRT prime
-    h = Hypergraph(4, 3, [(0, 1, 2), (0, 1, 3), (0, 2, 3)])
-    res = charpoly(h)
-    for key in ("modular_full", "modular_reduced"):
-        info = res.timings[key]
-        assert len(info["per_prime_s"]) == info["num_primes"]
+def _block_lifts(monkeypatch):
+    """Record (block, integer charpoly, primes folded) for each lift."""
+    lifts = []
+    real = macaulay._lift_block
+
+    def recorded(mat, primes):
+        lift, folded = real(mat, primes)
+        lifts.append((mat, UniPoly(enumerate(lift)), folded))
+        return lift, folded
+
+    monkeypatch.setattr(macaulay, "_lift_block", recorded)
+    return lifts
 
 
-@pytest.mark.parametrize("h, mode", [(complete(5, 3), "early"),
-                                     (single_edge(3), "bound")],
-                         ids=["complete(5,3)", "single_edge(3)"])
-def test_charpoly_records_crt_mode(h, mode):
-    # complete(5,3): 60 bits of phi against 223 predicted; single_edge(3):
-    # the bound needs one prime, fewer than the lift needs to settle
+def test_charpoly_counts_the_kernels_run(monkeypatch):
+    # one kernel per folded prime and one held-out prime per block; the
+    # operations are s^3 per kernel on an s-row block
+    sizes = []
+    real = macaulay._charpoly_mod_prime
+    monkeypatch.setattr(macaulay, "_charpoly_mod_prime",
+                        lambda mat, p: sizes.append(len(mat)) or real(mat, p))
+    t = charpoly(Hypergraph(4, 3, [(0, 1, 2), (0, 1, 3), (0, 2, 3)])).timings
+    assert t["kernel_calls"] == len(sizes)
+    assert t["kernel_calls"] == t["primes"] + t["distinct_blocks"]
+    assert t["kernel_ops"] == sum(s ** 3 for s in sizes)
+    assert sum(t["crt_mode"].values()) == t["distinct_blocks"]
+
+
+@pytest.mark.parametrize("h, modes", [
+    (complete(5, 3), {"early": 1, "bound": 4}),
+    (single_edge(3), {"early": 0, "bound": 2}),
+], ids=["complete(5,3)", "single_edge(3)"])
+def test_charpoly_records_crt_mode(h, modes):
+    # complete(5,3): the 137-row block's 80 bits settle on 6 of the 11
+    # primes its bound asks for; the others, and single_edge(3)'s blocks,
+    # need fewer primes for their bounds than the lift needs to settle
     t = charpoly(h).timings
-    assert t["crt_mode"] == mode
-    used = t["modular_full"]["num_primes"]
-    if mode == "early":
-        assert used < t["bound_primes"]
+    assert t["crt_mode"] == modes
+    if modes["early"]:
+        assert t["primes"] < t["bound_primes"]
     else:
-        assert used == t["bound_primes"] == 1
+        assert t["primes"] == t["bound_primes"] == 2
 
 
 def test_charpoly_early_lift_caught_by_held_out_prime(monkeypatch):
-    # phi + E with E the product of the CRT primes of phi's own early stop:
-    # E vanishes mod each of them, so the lift settles on phi exactly as
-    # before, and only the held-out prime sees E
+    # complete(5,3): phi = f / den, f the charpoly of the 137-row block of N,
+    # whose lift stops early, and den the product of N''s blocks.  Its
+    # kernel returns the residues of g = f + E*L*q, E the product of the
+    # primes f's lift folded: g agrees with f modulo each of them, so the
+    # lift settles on f exactly as before, and only the held-out prime
+    # sees E.  The lift then goes on to g, which phi's division checks.
     h = complete(5, 3)
     clean = charpoly(h)
-    used = clean.timings["modular_full"]["num_primes"]
-    assert clean.timings["crt_mode"] == "early"
-    primes = macaulay._primes_descending(
-        macaulay._prime_bits_for(clean.matrix_size))
-    e = math.prod(itertools.islice(primes, used))
-    fabricated = clean.phi + UniPoly({1: e})
+    blocks, _ = macaulay._diagonal_blocks(build_macaulay(h))
+    big, net, primes = max(blocks, key=lambda b: len(b[0]))
+    lift, folded = macaulay._lift_block(big, primes)
+    assert net == 1 and folded < len(primes) - 1
+    f = UniPoly(enumerate(lift))
+    den, rem = f.divide(clean.phi)
+    assert rem == 0 and den.degree == 137 - 80
+    e = UniPoly({1: math.prod(primes[:folded])})
+    real = macaulay._charpoly_mod_prime
 
-    def phi_plus_e(numer, denom, p):
-        res = [fabricated[i] % p for i in range(fabricated.degree + 1)]
-        return np.array(res, dtype=np.int64), (0.0, 0.0, 0.0)
+    def fabricate(g):
+        def kernel(mat, p):
+            if mat.shape != big.shape:
+                return real(mat, p)
+            return np.array([g[i] % p for i in range(g.degree + 1)],
+                            dtype=np.int64)
+        monkeypatch.setattr(macaulay, "_charpoly_mod_prime", kernel)
 
-    monkeypatch.setattr(macaulay, "_phi_mod_prime", phi_plus_e)
+    # q = den: the lift goes past its early stop, and phi + E*L comes out
+    fabricate(f + e * den)
     res = charpoly(h)
-    assert res.phi == fabricated != clean.phi
-    # the held-out prime of the clean run joined the CRT primes
-    assert res.timings["modular_full"]["num_primes"] > used
+    assert res.phi == clean.phi + e != clean.phi
+    assert res.timings["primes"] > clean.timings["primes"]
+    # q = 1: the wrong charpoly passes its held-out prime, as the kernel
+    # gives it on every prime, and the integer quotient leaves a remainder
+    fabricate(f + e)
+    with pytest.raises(ArithmeticError, match="do not divide"):
+        charpoly(h)
 
 
 def test_charpoly_checks_survive_python_O():
@@ -395,20 +429,33 @@ def _all_graphs(n, k):
         yield Hypergraph(n, k, [e for i, e in enumerate(pool) if bits >> i & 1])
 
 
-def test_charpoly_certificate_covers_phi():
-    # |c_j| <= C(D, j)*Delta^j, so the predicted bits (sign included) cover phi
+def test_charpoly_certificate_covers_phi(monkeypatch):
+    # |c_j| <= C(s, j)*Delta_B^(j/2) (Hadamard) for an s-row 0/1 block with
+    # at most Delta_B ones a row, so the predicted bits, sign included,
+    # cover each distinct block's integer charpoly
+    lifts = _block_lifts(monkeypatch)
     graphs = [*_all_graphs(4, 3), *_all_graphs(4, 2), single_edge(4)]
     assert len(graphs) == 16 + 64 + 1
-    for h in graphs:
+    for h in [*graphs, complete(5, 4)]:
         res = _charpoly_direct(h)
         assert res.phi.max_coefficient_bits() == res.timings["phi_bits"]
-        assert res.timings["phi_bits"] + 1 <= res.timings["predicted_bits"]
+    assert len(lifts) > len(graphs)
+    for mat, poly, _ in lifts:
+        bound = predicted_coefficient_bits(
+            len(mat), math.sqrt(mat.sum(axis=1).max()))
+        assert poly.max_coefficient_bits() + 1 <= bound
 
 
-def test_charpoly_primes_sized_from_phi():
-    # D = 80 and Delta = 6 bound phi by 223 bits: ten 25-bit primes
-    res = charpoly(complete(5, 3))
-    assert res.timings["modular_full"]["num_primes"] <= 10
+def test_charpoly_primes_sized_per_block(monkeypatch):
+    # complete(5,3): the 137-row block's Hadamard bound asks for eleven
+    # 25-bit primes, which its 80 bits do not need; the 26-row block asks
+    # for two, the 1-, 3- and 12-row blocks for one each
+    lifts = _block_lifts(monkeypatch)
+    t = charpoly(complete(5, 3)).timings
+    assert t["bound_primes"] == 11 + 2 + 1 + 1 + 1
+    assert sorted(len(mat) for mat, _, _ in lifts) == [1, 3, 12, 26, 137]
+    big = max(lifts, key=lambda lift: len(lift[0]))
+    assert big[1].max_coefficient_bits() == 80 and big[2] == 6
 
 
 def _corrupt_one_prime(monkeypatch, prime, block):
@@ -424,25 +471,32 @@ def _corrupt_one_prime(monkeypatch, prime, block):
 
 
 @pytest.mark.parametrize("which", ["crt", "held-out"])
-@pytest.mark.parametrize("h, match", [
-    # 3-graph: the wrong charpoly of N leaves a remainder mod p
-    (tetra_minus_face(), "nonzero remainder"),
-    # 2-graph: N' is empty, so only the held-out prime can catch it
-    (complete(4, 2), "held-out prime"),
+@pytest.mark.parametrize("h", [
+    # 3-graph: the largest block of N', with a negative net exponent
+    tetra_minus_face(),
+    # 2-graph: N' is empty, and N is one block
+    complete(4, 2),
 ], ids=["3-graph", "2-graph"])
-def test_charpoly_checks_are_wired(monkeypatch, which, h, match):
-    res = _charpoly_direct(h)
-    if which == "crt":
-        prime = next(macaulay._primes_descending(
-            macaulay._prime_bits_for(res.matrix_size)))
-    else:
-        prime = res.timings["modular_full"]["verification_prime"]
-    # the largest block of N that reaches a kernel
-    numer, _, _ = macaulay._diagonal_blocks(build_macaulay(h))
-    block = max((mat for mat, _ in numer), key=len)
-    _corrupt_one_prime(monkeypatch, prime, block)
-    with pytest.raises(ArithmeticError, match=match):
+def test_charpoly_checks_are_wired(monkeypatch, which, h):
+    # each block stops at its bound; a wrong residue on its first CRT prime
+    # or on its held-out prime makes the held-out prime disagree
+    blocks, _ = macaulay._diagonal_blocks(build_macaulay(h))
+    block, net, primes = max(blocks, key=lambda b: (b[1] < 0, len(b[0])))
+    assert (net < 0) == (h.k == 3)
+    _corrupt_one_prime(monkeypatch, primes[0 if which == "crt" else -1],
+                       block)
+    with pytest.raises(ArithmeticError, match="held-out prime"):
         _charpoly_direct(h)
+
+
+@pytest.mark.slow
+def test_charpoly_ultracube_3_2_is_pinned():
+    # the 43758-row matrix of the 2-dim 3-ultracube: 93 distinct blocks of
+    # up to 322 rows, each lifted on its own primes
+    cube = UniPoly({3: 1})
+    phi = (UniPoly({549: 1}) * (cube - 1) ** 18 * (cube + 1) ** 54
+           * (cube - 8) ** 27 * (cube - 2) ** 486)
+    assert charpoly(ultracube(3, 2)).phi == phi
 
 
 def test_no_assert_statements_in_src():
