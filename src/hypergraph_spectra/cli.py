@@ -323,7 +323,7 @@ def _cmd_family(ns) -> int:
 
 def _cmd_repro(ns) -> int:
     rows = (repro.run_claims(ns.only) if ns.only
-            else repro.run_all(ns.include_slow, ns.include_stretch))
+            else repro.run_all(ns.include_slow))
     if ns.format == "json":
         _emit_json([{
             "claim": r.claim_id, "gate": r.gate,
@@ -400,7 +400,6 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("repro", help="run the reproduction claim table")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--include-slow", action="store_true")
-    p.add_argument("--include-stretch", action="store_true")
     p.add_argument("--only", action="append", metavar="CLAIM_ID",
                    help="run a single claim (repeatable)")
     p.set_defaults(fn=_cmd_repro)

@@ -48,8 +48,10 @@ class Hypergraph:
         if k < 2:
             raise ValueError("uniformity k must be at least 2")
         canon = set()
-        for e in edges:
-            t = tuple(sorted(map(int, e)))
+        for e in map(sorted, edges):
+            t = tuple(map(int, e))
+            if list(t) != e:
+                raise ValueError(f"edge {e} has a non-integral vertex")
             if len(t) != k:
                 raise ValueError(f"edge {t} has {len(t)} vertices, expected k={k}")
             if len(set(t)) != k:

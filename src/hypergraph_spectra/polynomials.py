@@ -44,9 +44,10 @@ class UniPoly:
         c = {}
         if coeffs:
             items = coeffs.items() if isinstance(coeffs, dict) else coeffs
-            for d, v in items:
-                d = int(d)
-                v = int(v)
+            for d0, v0 in items:
+                d, v = int(d0), int(v0)
+                if d != d0 or v != v0:
+                    raise ValueError(f"non-integral term {v0!r}*L^{d0!r}")
                 if d < 0:
                     raise ValueError("negative exponent in polynomial")
                 if v:

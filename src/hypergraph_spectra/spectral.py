@@ -18,7 +18,6 @@ import heapq
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -239,8 +238,6 @@ def lambda_max(h: Hypergraph, tol: float = 1e-8,
 
 def degree_bounds_check(h: Hypergraph):
     """(average degree, lambda_max, max degree, pass) for the sandwich bound."""
-    if h.num_edges == 0:
-        return Fraction(0), 0.0, 0, True
     dmin, davg, dmax = h.degrees()
     lam = lambda_max(h).value
     ok = float(davg) - _SANDWICH_TOL <= lam <= dmax + _SANDWICH_TOL

@@ -255,6 +255,12 @@ def test_repro_unknown_claim(capsys):
     assert code == 1 and "unknown claim" in err
 
 
+def test_repro_has_one_gate_option(capsys):
+    code, out, err = run(capsys, "repro", "--include-stretch")
+    assert code == 1 and out == ""
+    assert "unrecognized arguments: --include-stretch" in err
+
+
 def test_negative_codegree_cap_is_an_input_error(capsys):
     for command, cap in (("traces", "-1"), ("coeffs", "-2")):
         code, out, err = run(capsys, command, "--family", "complete:n=4,k=3",

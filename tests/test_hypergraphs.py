@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from hypergraph_spectra.errors import EdgeListFormatError
@@ -37,6 +38,15 @@ def test_construction_rejects_bad_edges():
         Hypergraph(3, 1, [])
     with pytest.raises(ValueError):
         Hypergraph(0, 2, [])
+
+
+def test_construction_rejects_non_integral_vertices():
+    # int() would silently truncate 1.7 to 1
+    with pytest.raises(ValueError, match="non-integral"):
+        Hypergraph(3, 2, [(0, 1.7), (1, 2)])
+    want = Hypergraph(3, 2, [(0, 1), (1, 2)])
+    assert Hypergraph(3, 2, [(np.int64(0), 1.0), (Fraction(1), 2)]) == want
+    assert Hypergraph(3, 2, (iter(e) for e in [(1, 0), (2, 1)])) == want
 
 
 def test_equality_ignores_edge_order():

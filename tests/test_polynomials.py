@@ -30,6 +30,16 @@ def test_construction_drops_zeros():
     assert UniPoly().is_zero
 
 
+def test_construction_rejects_non_integral_terms():
+    # int() would silently truncate {2: 1.5, 0.9: 3} to L^2 + 3
+    for bad in ({2: 1.5, 0.9: 3}, {2: 1.5}, {0.9: 3}, {0: Fraction(1, 2)}):
+        with pytest.raises(ValueError, match="non-integral"):
+            UniPoly(bad)
+    want = UniPoly({2: 1, 0: 3})
+    assert UniPoly({np.int64(2): 1.0, 0: Fraction(3)}) == want
+    assert UniPoly([(2.0, np.int64(1)), (0, 3)]) == want
+
+
 def test_arith_basics():
     p = UniPoly({2: 1, 0: -1})
     q = UniPoly({1: 1, 0: 1})

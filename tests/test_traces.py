@@ -5,13 +5,16 @@ from fractions import Fraction
 
 import pytest
 
+from hypergraph_spectra import repro
 from hypergraph_spectra.hypergraphs import (
     Hypergraph,
     complete,
     disjoint_union,
     single_edge,
+    ultracube,
 )
 from hypergraph_spectra.macaulay import _charpoly_direct, charpoly
+from hypergraph_spectra.polynomials import UniPoly
 from hypergraph_spectra.traces import (
     coefficients_via_traces,
     count_closed_arrangements,
@@ -137,6 +140,24 @@ def test_coefficients_via_traces_matches_codegree_closed_forms():
     simplex_coeff = 21 * (k - 1) ** (n - k) * count_simplices(h)
     assert coeffs[4] == -simplex_coeff
     assert coeffs[4] == -42
+
+
+def test_ultracube_3_2_traces_side_with_the_computed_phi():
+    # a route to Q3,2's leading coefficients that runs no determinant: the
+    # traces agree with the pinned phi, not with the published product,
+    # whose (L^3-2)^27 stands where phi has (L^3-8)^27
+    h = ultracube(3, 2)
+    got = coefficients_via_traces(h, 6)
+    assert got == [1, 0, 0, -1152, 0, 0, 661680]
+    cube = UniPoly({3: 1})
+    phi = (UniPoly({549: 1}) * (cube - 1) ** 18 * (cube + 1) ** 54
+           * (cube - 8) ** 27 * (cube - 2) ** 486)
+    assert got == [phi.coeff_at_codegree(cd) for cd in range(7)]
+    printed = repro._q32_printed_product()
+    assert [printed.coeff_at_codegree(cd) for cd in (3, 6)] == [-990, 488988]
+    # the codegree-3 identity -3*2^(n-3)*|E| of _codegree_identities
+    assert (h.n, h.num_edges) == (9, 6)
+    assert got[3] == -3 * 2 ** (9 - 3) * 6
 
 
 def test_coefficients_beyond_default_depth():
