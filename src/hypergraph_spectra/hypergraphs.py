@@ -49,9 +49,9 @@ class Hypergraph:
             raise ValueError("uniformity k must be at least 2")
         canon = set()
         for e in map(sorted, edges):
-            t = tuple(map(int, e))
-            if list(t) != e:
+            if any(u % 1 for u in e):  # NaN, or a fraction: inf % 1 is NaN
                 raise ValueError(f"edge {e} has a non-integral vertex")
+            t = tuple(map(int, e))
             if len(t) != k:
                 raise ValueError(f"edge {t} has {len(t)} vertices, expected k={k}")
             if len(set(t)) != k:

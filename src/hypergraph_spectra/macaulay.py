@@ -28,7 +28,8 @@ agrees with it ("early"); otherwise it stops once the primes cover the
 bound, and the held-out prime must agree ("bound").  Equal polynomials
 merge their net exponents, and phi is the exact quotient of the product
 of the positive powers by the product of the negative ones.  Guards refuse
-a job on its predicted bytes and kernel operations before either is spent.
+a job on phi's predicted size, bytes and kernel operations before any is
+spent.
 """
 
 from __future__ import annotations
@@ -158,6 +159,26 @@ def predicted_coefficient_bits(degree: int, root_bound: float) -> int:
     return int(best) + 2
 
 
+def _guard_phi(degree: int, max_degree: int) -> None:
+    """GuardError refuses a phi of this degree predicted to take more than
+    _MAX_BYTES.  Its roots are eigenvalues, at most the hypergraph's
+    largest vertex degree Delta in modulus, so |c_j| <= C(D, j)*Delta^j <=
+    (1 + Delta)^D and each coefficient has at most D*log2(1 + Delta) + 1
+    bits; O(1), unlike predicted_coefficient_bits.
+    """
+    # D*log2(1 + Delta) rounded up in 1/1024ths: integer, so any D prices
+    bits = (degree * math.ceil(1024 * math.log2(1 + max_degree)) >> 10) + 1
+    # per coefficient: its digits, and about 100 bytes of int and dict entry
+    nbytes = (degree + 1) * (bits // 8 + 100)
+    if nbytes > _MAX_BYTES:
+        raise GuardError(
+            f"phi of degree {degree}, with coefficients of up to {bits} "
+            f"bits, would take {nbytes >> 20} MiB "
+            f"(budget {_MAX_BYTES >> 20} MiB)",
+            {"degree": degree, "coefficient_bits": bits,
+             "predicted_bytes": nbytes, "max_bytes": _MAX_BYTES})
+
+
 # -- block split --------------------------------------------------------------
 
 
@@ -242,16 +263,15 @@ def _lift_primes(pattern) -> list:
     return primes
 
 
-def _diagonal_blocks(mac: MacaulayMatrix):
-    """The distinct diagonal blocks of N and N' that reach a kernel, as
-    (dense block, net exponent, lift primes), and the block counts with the
-    primes their bounds ask for.  The net exponent is the block's
-    multiplicity in N minus that in N'; the components of N with every row
-    kept in N', and the patterns whose net exponent is 0, cancel and are
-    left out.  GuardError refuses, before any block is made dense, blocks
-    predicted to take more than _MAX_BYTES, or more than _MAX_KERNEL_OPS
-    with a kernel on every lift prime.
+def _split(h: Hypergraph):
+    """The diagonal blocks of h's N and N' that do not cancel, as {pattern:
+    net exponent}, and the sizes and block counts.  The net exponent is the
+    pattern's multiplicity in N minus that in N'; the components of N with
+    every row kept in N', and the patterns whose net exponent is 0, cancel.
     """
+    t0 = time.perf_counter()
+    mac = build_macaulay(h)
+    t1 = time.perf_counter()
     comps = _strong_components(dict(enumerate(mac.rows)))
     live = [c for c in comps if any(mac.reduced[r] for r in c)]
     kept = {r: mac.rows[r] for c in live for r in c if not mac.reduced[r]}
@@ -259,8 +279,20 @@ def _diagonal_blocks(mac: MacaulayMatrix):
     for pattern, mult in _group_blocks(
             mac.rows, _strong_components(kept)).items():
         net[pattern] = net.get(pattern, 0) - mult
-    primes = {pattern: _lift_primes(pattern)
-              for pattern, e in net.items() if e}
+    stats = {"matrix_size": mac.size,
+             "reduced_size": mac.size - mac.reduced_count,
+             "build_s": t1 - t0, "split_s": time.perf_counter() - t1,
+             "blocks": len(comps),
+             "largest_block": max(map(len, comps), default=0),
+             "cancelled_blocks": len(comps) - len(live)}
+    return {pattern: e for pattern, e in net.items() if e}, stats
+
+
+def _guard_blocks(patterns) -> dict:
+    """{pattern: lift primes}; GuardError refuses, before any is made dense,
+    blocks predicted to exceed _MAX_BYTES or, on every prime, _MAX_KERNEL_OPS.
+    """
+    primes = {pattern: _lift_primes(pattern) for pattern in patterns}
     top = max(map(len, primes), default=0)
     # the dense blocks, then the kernel's copy, table and two temporaries
     est = {"predicted_bytes": 8 * (sum(len(pt) ** 2 for pt in primes)
@@ -278,14 +310,7 @@ def _diagonal_blocks(mac: MacaulayMatrix):
             f"{est['predicted_ops']:.2g} kernel operations and "
             f"{est['predicted_bytes'] >> 20} MiB (budgets "
             f"{_MAX_KERNEL_OPS:.2g} and {_MAX_BYTES >> 20} MiB)", est)
-    blocks = [(_dense(pattern), net[pattern], ps)
-              for pattern, ps in primes.items()]
-    stats = {"blocks": len(comps),
-             "largest_block": max(map(len, comps), default=0),
-             "cancelled_blocks": len(comps) - len(live),
-             "distinct_blocks": len(blocks),
-             "bound_primes": est["bound_primes"]}
-    return blocks, stats
+    return primes
 
 
 # -- block charpolys modulo a prime, and CRT -----------------------------------
@@ -414,21 +439,21 @@ def _lift_block(mat: np.ndarray, primes: list):
 class CharPolyResult:
     """Characteristic polynomial with how it was obtained.
 
-    method is "modular" for a direct computation and "disjoint" for a
-    result combined from connected components (kept in components).  detM
-    and detMprime stay None: phi is rebuilt without either determinant.
-    The timings of a direct result describe the blocks: blocks counts the
-    strongly connected components of N, largest_block is the rows of the
-    largest, cancelled_blocks counts those shared with N', distinct_blocks
-    the blocks whose charpoly is lifted, and split_s is the time to find
-    and group them.  crt_mode counts the distinct blocks by how their lift
-    stopped, {"early": .., "bound": ..}; primes sums the CRT primes folded
-    into their lifts and bound_primes the primes their bounds ask for;
-    kernel_calls counts the kernels run, held-out primes included, and
-    kernel_ops sums s^3 over them.  det_full_s and det_reduced_s are the
-    seconds of the lifts of the blocks with a positive net exponent (N's)
-    and a negative one (N''s), divide_s the exact division, and phi_bits
-    the bits of phi's largest coefficient.
+    method is "modular" for one matrix and "disjoint" for one per connected
+    component; sizes and block counts then sum the components'.  detM and
+    detMprime stay None: phi is rebuilt without either determinant.  In
+    timings, blocks counts the strongly connected components of N,
+    largest_block is the rows of the largest, cancelled_blocks counts those
+    shared with N', distinct_blocks the blocks whose charpoly is lifted,
+    and split_s is the time to find and group them.  crt_mode counts the
+    distinct blocks by how their lift stopped, {"early": .., "bound": ..};
+    primes sums the CRT primes folded into their lifts and bound_primes the
+    primes their bounds ask for; kernel_calls counts the kernels run,
+    held-out primes included, and kernel_ops sums s^3 over them.
+    det_full_s and det_reduced_s are the seconds of the lifts of the blocks
+    with a positive net exponent (N's) and a negative one (N''s), divide_s
+    the exact divisions and the components' powers, and phi_bits the bits
+    of phi's largest coefficient.
     """
 
     phi: UniPoly
@@ -438,7 +463,6 @@ class CharPolyResult:
     detM: UniPoly | None = None
     detMprime: UniPoly | None = None
     timings: dict = field(default_factory=dict)
-    components: list | None = None
 
     @property
     def degree(self) -> int:
@@ -460,74 +484,70 @@ def charpoly(h: Hypergraph) -> CharPolyResult:
     or ArithmeticError is raised ("bound").  Equal charpolys merge their
     exponents, and phi is the exact quotient of the positive powers'
     product by the negative powers'; a remainder, a non-monic quotient or
-    a wrong degree raises ArithmeticError.  A disconnected input is split
-    into components, each with its own matrix and guard, and their
-    polynomials are combined by the disjoint-union power identity, which
-    avoids the much larger joint matrix.  GuardError refuses a job whose
-    predicted bytes or kernel operations, with every block on its bound's
-    primes and a held-out one, exceed the module's budgets.
+    a wrong degree raises ArithmeticError.  Each component G_i, on n_i of
+    the n vertices, has its own matrix and quotient, raised to
+    (k-1)^(n - n_i) by the disjoint-union identity.  GuardError refuses,
+    before any kernel, a job whose phi, matrices, distinct blocks or kernel
+    operations (on every bound prime and a held-out one) exceed the budgets.
     """
-    t_start = time.perf_counter()
-    comps = [sub for sub, _verts in h.components()]
-    if len(comps) == 1:
-        return _charpoly_direct(h)
-    parts = []
-    phi = UniPoly.one()
-    for sub in comps:
-        res = _charpoly_direct(sub)
-        parts.append(res)
-        phi = phi * res.phi ** ((h.k - 1) ** (h.n - sub.n))
-    expected_degree = h.n * (h.k - 1) ** (h.n - 1)
-    if phi.degree != expected_degree:
-        raise ArithmeticError(
-            f"component product has degree {phi.degree}, "
-            f"expected {expected_degree}")
-    return CharPolyResult(
-        phi=phi, method="disjoint",
-        matrix_size=sum(r.matrix_size for r in parts),
-        reduced_size=sum(r.reduced_size for r in parts),
-        timings={"total_s": time.perf_counter() - t_start},
-        components=parts)
+    return _charpoly(h, [(sub, (h.k - 1) ** (h.n - sub.n))
+                         for sub, _verts in h.components()])
 
 
 def _charpoly_direct(h: Hypergraph) -> CharPolyResult:
     """charpoly from h's own Macaulay matrix, connected or not."""
+    return _charpoly(h, [(h, 1)])
+
+
+def _charpoly(h: Hypergraph, parts) -> CharPolyResult:
+    """The product of phi(sub)**power over parts, (sub, power) pairs."""
     t_start = time.perf_counter()
-    expected_degree = h.n * (h.k - 1) ** (h.n - 1)
-    mac = build_macaulay(h)
-    t_build = time.perf_counter()
-    blocks, stats = _diagonal_blocks(mac)
-    t_split = time.perf_counter()
-    exponents, det_s = {}, [0.0, 0.0]
-    info = {"crt_mode": {"early": 0, "bound": 0}, "primes": 0,
-            "kernel_calls": 0, "kernel_ops": 0}
-    for mat, net, primes in blocks:
+    _guard_phi(h.n * (h.k - 1) ** (h.n - 1), max(map(len, h.incidence)))
+    splits = [_split(sub) for sub, _power in parts]
+    timings = {key: sum(stats[key] for _, stats in splits)
+               for key in splits[0][1]}
+    timings["largest_block"] = max(st["largest_block"] for _, st in splits)
+    size, reduced = timings.pop("matrix_size"), timings.pop("reduced_size")
+    # each distinct pattern, with its net exponent in the first part with it
+    first = {pt: e for net, _ in reversed(splits) for pt, e in net.items()}
+    primes = _guard_blocks(first)
+    timings.update(distinct_blocks=len(primes),
+                   bound_primes=sum(len(ps) - 1 for ps in primes.values()),
+                   crt_mode={"early": 0, "bound": 0}, primes=0,
+                   kernel_calls=0, kernel_ops=0)
+    lifts, det_s = {}, [0.0, 0.0]
+    for pattern, ps in primes.items():
         t0 = time.perf_counter()
-        lift, folded = _lift_block(mat, primes)
-        det_s[net < 0] += time.perf_counter() - t0
-        key = tuple(lift)
-        exponents[key] = exponents.get(key, 0) + net
-        info["crt_mode"]["early" if folded < len(primes) - 1 else "bound"] += 1
-        info["primes"] += folded
-        info["kernel_calls"] += folded + 1
-        info["kernel_ops"] += (folded + 1) * len(mat) ** 3
+        lift, folded = _lift_block(_dense(pattern), ps)
+        det_s[first[pattern] < 0] += time.perf_counter() - t0
+        lifts[pattern] = tuple(lift)
+        timings["crt_mode"]["early" if folded < len(ps) - 1 else "bound"] += 1
+        timings["primes"] += folded
+        timings["kernel_calls"] += folded + 1
+        timings["kernel_ops"] += (folded + 1) * len(pattern) ** 3
     t_div = time.perf_counter()
-    num, den = UniPoly.one(), UniPoly.one()
-    for coeffs, e in exponents.items():
-        if e > 0:
-            num = num * UniPoly(enumerate(coeffs)) ** e
-        elif e < 0:
-            den = den * UniPoly(enumerate(coeffs)) ** -e
-    phi, rem = num.divide(den)
-    if rem or not phi.is_monic or phi.degree != expected_degree:
-        raise ArithmeticError(
-            f"the blocks' charpolys do not divide to a monic phi of degree "
-            f"{expected_degree}")
-    timings = {"build_s": t_build - t_start, "split_s": t_split - t_build,
-               **stats, **info, "phi_bits": phi.max_coefficient_bits(),
-               "det_full_s": det_s[0], "det_reduced_s": det_s[1],
-               "divide_s": time.perf_counter() - t_div,
-               "total_s": time.perf_counter() - t_start}
-    return CharPolyResult(phi=phi, method="modular", matrix_size=mac.size,
-                          reduced_size=mac.size - mac.reduced_count,
-                          timings=timings)
+    phi = UniPoly.one()
+    for (sub, power), (net, _) in zip(parts, splits):
+        exponents = {}
+        for pattern, e in net.items():
+            exponents[lifts[pattern]] = exponents.get(lifts[pattern], 0) + e
+        num, den = UniPoly.one(), UniPoly.one()
+        for coeffs, e in exponents.items():
+            if e > 0:
+                num = num * UniPoly(enumerate(coeffs)) ** e
+            elif e < 0:
+                den = den * UniPoly(enumerate(coeffs)) ** -e
+        quotient, rem = num.divide(den)
+        degree = sub.n * (h.k - 1) ** (sub.n - 1)
+        if rem or not quotient.is_monic or quotient.degree != degree:
+            raise ArithmeticError(
+                f"the blocks' charpolys do not divide to a monic phi of "
+                f"degree {degree}")
+        phi = phi * quotient ** power
+    timings.update(phi_bits=phi.max_coefficient_bits(),
+                   det_full_s=det_s[0], det_reduced_s=det_s[1],
+                   divide_s=time.perf_counter() - t_div,
+                   total_s=time.perf_counter() - t_start)
+    return CharPolyResult(
+        phi=phi, method="disjoint" if len(parts) > 1 else "modular",
+        matrix_size=size, reduced_size=reduced, timings=timings)

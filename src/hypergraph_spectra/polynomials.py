@@ -45,9 +45,9 @@ class UniPoly:
         if coeffs:
             items = coeffs.items() if isinstance(coeffs, dict) else coeffs
             for d0, v0 in items:
-                d, v = int(d0), int(v0)
-                if d != d0 or v != v0:
+                if d0 % 1 or v0 % 1:  # NaN, or a fraction: inf % 1 is NaN
                     raise ValueError(f"non-integral term {v0!r}*L^{d0!r}")
+                d, v = int(d0), int(v0)
                 if d < 0:
                     raise ValueError("negative exponent in polynomial")
                 if v:

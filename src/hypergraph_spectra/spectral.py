@@ -30,6 +30,7 @@ from .hypergraphs import (
     is_subgraph,
     ultracube,
 )
+from .macaulay import _guard_phi
 from .polynomials import UniPoly, enumerate_monomials, numeric_roots
 
 __all__ = [
@@ -270,7 +271,7 @@ def greedy_color(h: Hypergraph) -> ColoringReport:
     n = h.n
     incidence = h.incidence
     removed = [False] * n
-    edge_alive = [True] * len(h.edges)
+    closer = [-1] * len(h.edges)  # each edge's first vertex in the order
     degree = [len(idxs) for idxs in incidence]
     heap = [(d, v) for v, d in enumerate(degree)]
     heapq.heapify(heap)
@@ -284,8 +285,8 @@ def greedy_color(h: Hypergraph) -> ColoringReport:
         order.append(v)
         removed[v] = True
         for idx in incidence[v]:
-            if edge_alive[idx]:
-                edge_alive[idx] = False
+            if closer[idx] < 0:
+                closer[idx] = v
                 for u in h.edges[idx]:
                     if not removed[u]:
                         degree[u] -= 1
@@ -294,11 +295,10 @@ def greedy_color(h: Hypergraph) -> ColoringReport:
     for v in reversed(order):
         forbidden = set()
         for idx in incidence[v]:
-            others = [u for u in h.edges[idx] if u != v]
-            if all(u in colors for u in others):
-                cs = {colors[u] for u in others}
+            if closer[idx] == v:  # the edge's other vertices are colored
+                cs = {colors[u] for u in h.edges[idx] if u != v}
                 if len(cs) == 1:
-                    forbidden.add(next(iter(cs)))
+                    forbidden.add(cs.pop())
         c = 1
         while c in forbidden:
             c += 1
@@ -324,9 +324,11 @@ def subgraph_monotonicity_check(g: Hypergraph, h: Hypergraph,
 
 
 def single_edge_charpoly(k: int) -> UniPoly:
-    """Closed-form characteristic polynomial of one k-edge."""
+    """Closed-form characteristic polynomial of one k-edge; GuardError
+    refuses, before it is expanded, one too large to hold (k >= 7)."""
     if k < 2:
         raise ValueError("uniformity k must be at least 2")
+    _guard_phi(k * (k - 1) ** (k - 1), 1)
     r = k * (k - 1) ** (k - 1) - k ** (k - 1)
     body = UniPoly({k: 1, 0: -1}) ** (k ** (k - 2))
     return body.shift(r)

@@ -100,8 +100,8 @@ def test_charpoly_stderr_reports_cancelled_blocks(capsys, tmp_path):
                                          - timings["cancelled_blocks"])
 
 
-def test_charpoly_json_deterministic_across_threads(capsys):
-    # one serial prime loop: two runs print the same bytes
+def test_charpoly_json_is_deterministic(capsys):
+    # two runs print the same bytes
     args = ["charpoly", "--family", "tetra-minus-face", "--format", "json"]
     code1, out1, _ = run(capsys, *args)
     code2, out2, _ = run(capsys, *args)

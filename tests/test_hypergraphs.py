@@ -44,6 +44,9 @@ def test_construction_rejects_non_integral_vertices():
     # int() would silently truncate 1.7 to 1
     with pytest.raises(ValueError, match="non-integral"):
         Hypergraph(3, 2, [(0, 1.7), (1, 2)])
+    # int() raises OverflowError on an infinity
+    with pytest.raises(ValueError, match="non-integral"):
+        Hypergraph(3, 2, [(0, float("inf"))])
     want = Hypergraph(3, 2, [(0, 1), (1, 2)])
     assert Hypergraph(3, 2, [(np.int64(0), 1.0), (Fraction(1), 2)]) == want
     assert Hypergraph(3, 2, (iter(e) for e in [(1, 0), (2, 1)])) == want

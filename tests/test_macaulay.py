@@ -179,17 +179,64 @@ def test_guard_raises_with_estimate(monkeypatch):
     assert monomials == []
 
 
+def test_guard_prices_phi_before_any_matrix(monkeypatch):
+    # complete(5,4) with six isolated vertices: phi(complete(5,4))^729, of
+    # degree 649539, coefficients of up to 1.5e6 bits; ultracube(3,3):
+    # degree 27*2^26, priced in O(1)
+    builds = _count_calls(monkeypatch, "build_macaulay")
+    monkeypatch.setattr(macaulay, "_charpoly_mod_prime", _past_the_guard)
+    for h in [disjoint_union(complete(5, 4), Hypergraph(6, 4, [])),
+              ultracube(3, 3)]:
+        with pytest.raises(GuardError) as ei:
+            charpoly(h)
+        est = ei.value.estimate
+        assert est["degree"] == h.n * (h.k - 1) ** (h.n - 1)
+        assert est["predicted_bytes"] > est["max_bytes"]
+    assert builds == []
+
+
+def test_multi_part_guard_refuses_before_any_kernel(monkeypatch):
+    # e3 and complete(8,3): the blocks of both components are priced
+    # together, so complete(8,3)'s 1.6e14 operations refuse the job before
+    # a kernel runs on e3's blocks
+    monkeypatch.setattr(macaulay, "_charpoly_mod_prime", _past_the_guard)
+    with pytest.raises(GuardError) as ei:
+        charpoly(disjoint_union(single_edge(3), complete(8, 3)))
+    est = ei.value.estimate
+    assert est["predicted_ops"] > est["max_kernel_ops"]
+
+
+def test_isomorphic_components_share_lifts():
+    # K4^3 twice: both components have one matrix, whose blocks are lifted
+    # once; phi = (phi_1^(2^4))^2, and the timings sum the block counts
+    one = charpoly(complete(4, 3))
+    two = charpoly(disjoint_union(complete(4, 3), complete(4, 3)))
+    assert two.method == "disjoint" and one.method == "modular"
+    assert two.phi == one.phi ** 32
+    assert two.matrix_size == 2 * one.matrix_size
+    assert two.reduced_size == 2 * one.reduced_size
+    t1, t2 = one.timings, two.timings
+    for key in ("blocks", "cancelled_blocks"):
+        assert t2[key] == 2 * t1[key]
+    for key in ("largest_block", "distinct_blocks", "bound_primes",
+                "crt_mode", "primes", "kernel_calls", "kernel_ops"):
+        assert t2[key] == t1[key]
+    assert set(t2) == set(t1)
+
+
+class PastTheGuard(Exception):
+    pass
+
+
+def _past_the_guard(*args):
+    raise PastTheGuard
+
+
 @pytest.mark.parametrize("h", [ultracube(3, 2), complete(7, 3)],
                          ids=["ultracube(3,2)", "complete(7,3)"])
 def test_guard_admits_large_inputs(monkeypatch, h):
     # the first block's first kernel would run next; none does here
-    class PastTheGuard(Exception):
-        pass
-
-    def sentinel(*args):
-        raise PastTheGuard
-
-    monkeypatch.setattr(macaulay, "_charpoly_mod_prime", sentinel)
+    monkeypatch.setattr(macaulay, "_charpoly_mod_prime", _past_the_guard)
     with pytest.raises(PastTheGuard):
         charpoly(h)
 
@@ -329,6 +376,13 @@ def test_charpoly_codegree_closed_forms_random():
         assert phi.coeff_at_codegree(3) == want
 
 
+def _blocks(h):
+    """(dense block, net exponent, lift primes) for each distinct block."""
+    net, _ = macaulay._split(h)
+    return [(macaulay._dense(pattern), net[pattern], primes)
+            for pattern, primes in macaulay._guard_blocks(net).items()]
+
+
 def _block_lifts(monkeypatch):
     """Record (block, integer charpoly, primes folded) for each lift."""
     lifts = []
@@ -382,7 +436,7 @@ def test_charpoly_early_lift_caught_by_held_out_prime(monkeypatch):
     # sees E.  The lift then goes on to g, which phi's division checks.
     h = complete(5, 3)
     clean = charpoly(h)
-    blocks, _ = macaulay._diagonal_blocks(build_macaulay(h))
+    blocks = _blocks(h)
     big, net, primes = max(blocks, key=lambda b: len(b[0]))
     lift, folded = macaulay._lift_block(big, primes)
     assert net == 1 and folded < len(primes) - 1
@@ -480,7 +534,7 @@ def _corrupt_one_prime(monkeypatch, prime, block):
 def test_charpoly_checks_are_wired(monkeypatch, which, h):
     # each block stops at its bound; a wrong residue on its first CRT prime
     # or on its held-out prime makes the held-out prime disagree
-    blocks, _ = macaulay._diagonal_blocks(build_macaulay(h))
+    blocks = _blocks(h)
     block, net, primes = max(blocks, key=lambda b: (b[1] < 0, len(b[0])))
     assert (net < 0) == (h.k == 3)
     _corrupt_one_prime(monkeypatch, primes[0 if which == "crt" else -1],

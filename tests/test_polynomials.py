@@ -31,8 +31,10 @@ def test_construction_drops_zeros():
 
 
 def test_construction_rejects_non_integral_terms():
-    # int() would silently truncate {2: 1.5, 0.9: 3} to L^2 + 3
-    for bad in ({2: 1.5, 0.9: 3}, {2: 1.5}, {0.9: 3}, {0: Fraction(1, 2)}):
+    # int() would silently truncate {2: 1.5, 0.9: 3} to L^2 + 3, and
+    # raises OverflowError on an infinity
+    for bad in ({2: 1.5, 0.9: 3}, {2: 1.5}, {0.9: 3}, {0: Fraction(1, 2)},
+                {0: float("inf")}):
         with pytest.raises(ValueError, match="non-integral"):
             UniPoly(bad)
     want = UniPoly({2: 1, 0: 3})

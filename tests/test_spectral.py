@@ -303,6 +303,20 @@ def test_single_edge_charpoly_matches_engine():
         assert single_edge_charpoly(k) == charpoly(single_edge(k)).phi
 
 
+def test_single_edge_charpoly_refuses_k7_before_expanding(monkeypatch):
+    # degree 7*6^6 = 326592, up to 326593 bits a coefficient: about 12 GiB
+    # dense; k = 6, of degree 18750, fits
+    def expanded(*args):
+        raise AssertionError("the closed form was expanded")
+
+    monkeypatch.setattr(spectral, "UniPoly", expanded)
+    with pytest.raises(GuardError) as ei:
+        single_edge_charpoly(7)
+    est = ei.value.estimate
+    assert est["degree"] == 326592 and est["coefficient_bits"] == 326593
+    assert est["predicted_bytes"] > est["max_bytes"]
+
+
 def test_root_of_unity_symmetry():
     assert root_of_unity_symmetry(single_edge_charpoly(3), 3)
     assert root_of_unity_symmetry(charpoly(TETRA).phi, 3)
