@@ -19,17 +19,19 @@ minus its multiplicity in N'.  Only the patterns whose net exponent is not
 zero are made dense.
 
 Each distinct block's integer characteristic polynomial is lifted on its
-own, one kernel per prime folded into a running CRT lift.  A principal
-minor of order j of an s-row 0/1 block whose rows hold at most Delta_B
-ones is at most Delta_B^(j/2) in modulus (Hadamard), so its coefficients
-obey |c_j| <= C(s, j)*Delta_B^(j/2).  The bound is loose, so the lift stops
-as soon as it has stayed unchanged over two primes and a held-out prime
-agrees with it ("early"); otherwise it stops once the primes cover the
-bound, and the held-out prime must agree ("bound").  Equal polynomials
-merge their net exponents, and phi is the exact quotient of the product
-of the positive powers by the product of the negative ones.  Guards refuse
-a job on phi's predicted size, bytes and kernel operations before any is
-spent.
+own, one kernel per prime folded into a running CRT lift.  One bound
+certifies the lifts and prices phi: a monic degree-D polynomial with
+|c_j| <= C(D, j)*r^j has sum_j |c_j| <= (1 + r)^D (binomial theorem).  For
+phi, r is the largest vertex degree, which bounds every eigenvalue; for an
+s-row 0/1 block whose rows hold at most Delta_B ones, r = sqrt(Delta_B),
+since a principal minor of order j is at most Delta_B^(j/2) (Hadamard).
+The bound is loose, so the lift stops as soon as it has stayed unchanged
+over two primes and a held-out prime agrees with it ("early"); otherwise
+it stops once the primes cover the bound, and the held-out prime must
+agree ("bound").  Equal polynomials merge their net exponents, and phi is
+the exact quotient of the product of the positive powers by the product
+of the negative ones.  Guards refuse a job on phi's predicted size, bytes
+and kernel operations before any is spent.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 
@@ -140,34 +143,24 @@ def build_macaulay(h: Hypergraph) -> MacaulayMatrix:
 
 
 def predicted_coefficient_bits(degree: int, root_bound: float) -> int:
-    """Upper bound in bits, sign included, on |c_j| <= C(degree, j)*r^j with
-    r = root_bound: the coefficients of a monic integer polynomial whose
-    roots are at most r in modulus, or of the charpoly of a 0/1 matrix whose
+    """Bits, sign included, that hold every coefficient of a monic degree-D
+    integer polynomial with |c_j| <= C(D, j)*r^j, r = root_bound: one whose
+    roots are at most r in modulus, or the charpoly of a 0/1 matrix whose
     rows hold at most r^2 ones (each principal minor of order j is at most
-    r^j by Hadamard's inequality).
+    r^j by Hadamard's inequality).  By the binomial theorem the |c_j| sum to
+    at most (1 + r)^D, so ceil(D*log2(1 + r)) bits hold each, one more the
+    sign and one more the float error in log2; exact in D, so any D prices.
     """
-    if degree == 0:
-        return 1
-    r = max(root_bound, 1)
-    log2r = math.log2(r)
-    ln2 = math.log(2.0)
-    best = 0.0
-    lg = math.lgamma
-    for j in range(degree + 1):
-        logc = (lg(degree + 1) - lg(j + 1) - lg(degree - j + 1)) / ln2
-        best = max(best, logc + j * log2r)
-    return int(best) + 2
+    return math.ceil(degree * Fraction(math.log2(1 + root_bound))) + 2
 
 
-def _guard_phi(degree: int, max_degree: int) -> None:
-    """GuardError refuses a phi of this degree predicted to take more than
-    _MAX_BYTES.  Its roots are eigenvalues, at most the hypergraph's
-    largest vertex degree Delta in modulus, so |c_j| <= C(D, j)*Delta^j <=
-    (1 + Delta)^D and each coefficient has at most D*log2(1 + Delta) + 1
-    bits; O(1), unlike predicted_coefficient_bits.
+def _guard_phi(degree: int, max_degree: int) -> int:
+    """The bits predicted_coefficient_bits gives a phi of this degree whose
+    roots, eigenvalues, are at most the largest vertex degree Delta in
+    modulus; GuardError refuses a phi predicted to take more than
+    _MAX_BYTES.
     """
-    # D*log2(1 + Delta) rounded up in 1/1024ths: integer, so any D prices
-    bits = (degree * math.ceil(1024 * math.log2(1 + max_degree)) >> 10) + 1
+    bits = predicted_coefficient_bits(degree, max_degree)
     # per coefficient: its digits, and about 100 bytes of int and dict entry
     nbytes = (degree + 1) * (bits // 8 + 100)
     if nbytes > _MAX_BYTES:
@@ -177,6 +170,7 @@ def _guard_phi(degree: int, max_degree: int) -> None:
             f"(budget {_MAX_BYTES >> 20} MiB)",
             {"degree": degree, "coefficient_bits": bits,
              "predicted_bytes": nbytes, "max_bytes": _MAX_BYTES})
+    return bits
 
 
 # -- block split --------------------------------------------------------------
@@ -249,14 +243,14 @@ def _dense(pattern) -> np.ndarray:
 
 
 def _lift_primes(pattern) -> list:
-    """The CRT primes whose product covers the Hadamard bound on a block's
-    charpoly coefficients, with 8 bits to spare, then one held-out prime.
+    """The CRT primes whose product covers predicted_coefficient_bits for a
+    block's charpoly (r = sqrt(Delta_B)), then one held-out prime.
     """
     bits = predicted_coefficient_bits(
         len(pattern), math.sqrt(max(map(len, pattern))))
     gen = _primes_descending(_prime_bits_for(len(pattern)))
     primes, total = [], 0.0
-    while total < bits + 8:
+    while total < bits:
         primes.append(next(gen))
         total += math.log2(primes[-1])
     primes.append(next(gen))
@@ -288,9 +282,10 @@ def _split(h: Hypergraph):
     return {pattern: e for pattern, e in net.items() if e}, stats
 
 
-def _guard_blocks(patterns) -> dict:
-    """{pattern: lift primes}; GuardError refuses, before any is made dense,
-    blocks predicted to exceed _MAX_BYTES or, on every prime, _MAX_KERNEL_OPS.
+def _guard_blocks(patterns):
+    """({pattern: lift primes}, the estimate); GuardError refuses, before
+    any is made dense, blocks predicted to exceed _MAX_BYTES or, on every
+    prime, _MAX_KERNEL_OPS.
     """
     primes = {pattern: _lift_primes(pattern) for pattern in patterns}
     top = max(map(len, primes), default=0)
@@ -310,7 +305,7 @@ def _guard_blocks(patterns) -> dict:
             f"{est['predicted_ops']:.2g} kernel operations and "
             f"{est['predicted_bytes'] >> 20} MiB (budgets "
             f"{_MAX_KERNEL_OPS:.2g} and {_MAX_BYTES >> 20} MiB)", est)
-    return primes
+    return primes, est
 
 
 # -- block charpolys modulo a prime, and CRT -----------------------------------
@@ -449,11 +444,13 @@ class CharPolyResult:
     distinct blocks by how their lift stopped, {"early": .., "bound": ..};
     primes sums the CRT primes folded into their lifts and bound_primes the
     primes their bounds ask for; kernel_calls counts the kernels run,
-    held-out primes included, and kernel_ops sums s^3 over them.
+    held-out primes included, and kernel_ops sums s^3 over them, against
+    predicted_ops, the guard's s^3 on every bound prime and a held-out one.
     det_full_s and det_reduced_s are the seconds of the lifts of the blocks
     with a positive net exponent (N's) and a negative one (N''s), divide_s
     the exact divisions and the components' powers, and phi_bits the bits
-    of phi's largest coefficient.
+    of phi's largest coefficient, against predicted_bits, the guard's price
+    with the sign bit, predicted_coefficient_bits(D, Delta).
     """
 
     phi: UniPoly
@@ -479,16 +476,18 @@ def charpoly(h: Hypergraph) -> CharPolyResult:
     primes; once the lift has stayed unchanged over two primes, the next
     one is held out, and the lift is taken if it agrees ("early") or goes
     on if not.  Otherwise the primes cover the block's certificate
-    |c_j| <= C(s, j)*Delta_B^(j/2), Hadamard's bound for an s-row 0/1 block
-    whose rows hold at most Delta_B ones, and the held-out prime must agree
-    or ArithmeticError is raised ("bound").  Equal charpolys merge their
-    exponents, and phi is the exact quotient of the positive powers'
-    product by the negative powers'; a remainder, a non-monic quotient or
-    a wrong degree raises ArithmeticError.  Each component G_i, on n_i of
-    the n vertices, has its own matrix and quotient, raised to
-    (k-1)^(n - n_i) by the disjoint-union identity.  GuardError refuses,
-    before any kernel, a job whose phi, matrices, distinct blocks or kernel
-    operations (on every bound prime and a held-out one) exceed the budgets.
+    sum_j |c_j| <= (1 + sqrt(Delta_B))^s, from Hadamard's bound for an
+    s-row 0/1 block whose rows hold at most Delta_B ones, and the held-out
+    prime must agree or ArithmeticError is raised ("bound").  Equal
+    charpolys merge their exponents, and phi is the exact quotient of the
+    positive powers' product by the negative powers'; a remainder, a
+    non-monic quotient or a wrong degree raises ArithmeticError.  Each
+    component G_i, on n_i of the n vertices, has its own matrix and
+    quotient, raised to (k-1)^(n - n_i) by the disjoint-union identity.
+    GuardError refuses, before any kernel, a job whose phi (priced at
+    (1 + Delta)^D, Delta the largest vertex degree), matrices, distinct
+    blocks or kernel operations (on every bound prime and a held-out one)
+    exceed the budgets.
     """
     return _charpoly(h, [(sub, (h.k - 1) ** (h.n - sub.n))
                          for sub, _verts in h.components()])
@@ -502,7 +501,8 @@ def _charpoly_direct(h: Hypergraph) -> CharPolyResult:
 def _charpoly(h: Hypergraph, parts) -> CharPolyResult:
     """The product of phi(sub)**power over parts, (sub, power) pairs."""
     t_start = time.perf_counter()
-    _guard_phi(h.n * (h.k - 1) ** (h.n - 1), max(map(len, h.incidence)))
+    bits = _guard_phi(h.n * (h.k - 1) ** (h.n - 1),
+                      max(map(len, h.incidence)))
     splits = [_split(sub) for sub, _power in parts]
     timings = {key: sum(stats[key] for _, stats in splits)
                for key in splits[0][1]}
@@ -510,9 +510,9 @@ def _charpoly(h: Hypergraph, parts) -> CharPolyResult:
     size, reduced = timings.pop("matrix_size"), timings.pop("reduced_size")
     # each distinct pattern, with its net exponent in the first part with it
     first = {pt: e for net, _ in reversed(splits) for pt, e in net.items()}
-    primes = _guard_blocks(first)
-    timings.update(distinct_blocks=len(primes),
-                   bound_primes=sum(len(ps) - 1 for ps in primes.values()),
+    primes, est = _guard_blocks(first)
+    timings.update({key: est[key] for key in
+                    ("distinct_blocks", "bound_primes", "predicted_ops")},
                    crt_mode={"early": 0, "bound": 0}, primes=0,
                    kernel_calls=0, kernel_ops=0)
     lifts, det_s = {}, [0.0, 0.0]
@@ -544,7 +544,7 @@ def _charpoly(h: Hypergraph, parts) -> CharPolyResult:
                 f"the blocks' charpolys do not divide to a monic phi of "
                 f"degree {degree}")
         phi = phi * quotient ** power
-    timings.update(phi_bits=phi.max_coefficient_bits(),
+    timings.update(phi_bits=phi.max_coefficient_bits(), predicted_bits=bits,
                    det_full_s=det_s[0], det_reduced_s=det_s[1],
                    divide_s=time.perf_counter() - t_div,
                    total_s=time.perf_counter() - t_start)

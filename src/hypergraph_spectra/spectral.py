@@ -216,8 +216,7 @@ def lambda_max(h: Hypergraph, tol: float = 1e-8,
     best = None
     total_iter = 0
     all_converged = True
-    comps = h.components()
-    for sub, verts in comps:
+    for sub, verts in h.components():
         arrays = _edge_arrays(sub)
         lower, upper, x, iters, conv = _lambda_max_connected(
             sub, arrays, tol, int(max_iter))
@@ -225,16 +224,15 @@ def lambda_max(h: Hypergraph, tol: float = 1e-8,
         all_converged = all_converged and conv
         mid = 0.5 * (lower + upper)
         if best is None or mid > best[0]:
-            best = mid, lower, upper, x, verts
-    mid, lower, upper, x, verts = best
+            best = mid, lower, upper, x, verts, sub, arrays
+    mid, lower, upper, x, verts, sub, arrays = best
     full = [0.0] * h.n
     for i, v in enumerate(verts):
         full[v] = x[i]
-    # a connected input is its own component: reuse the iteration's arrays
-    residual = (_eigen_residual(h, arrays, mid, full) if len(comps) == 1
-                else verify_eigenpair(h, mid, full))
+    # the residual of full on h: its zeros add exact zeros to every link
+    # sum, and sub keeps each vertex's edges in h's order
     return LambdaMaxReport(mid, tuple(full), lower, upper, total_iter,
-                           all_converged, residual)
+                           all_converged, _eigen_residual(sub, arrays, mid, x))
 
 
 def degree_bounds_check(h: Hypergraph):

@@ -78,9 +78,9 @@ def test_charpoly_stderr_reports_bits(capsys):
     assert code == 0
     timings = json.loads(err.split("timings=", 1)[1])
     # the 137-row block's 80 bits settle on six 25-bit primes; its bound
-    # asks for eleven
+    # asks for ten
     assert timings["crt_mode"] == {"early": 1, "bound": 4}
-    assert timings["bound_primes"] == 16
+    assert timings["bound_primes"] == 15
     assert timings["primes"] == 11
 
 

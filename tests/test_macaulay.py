@@ -1,5 +1,6 @@
 import ast
 import glob
+import importlib.util
 import itertools
 import json
 import math
@@ -154,7 +155,7 @@ def _count_calls(monkeypatch, name):
 
 def test_guard_raises_with_estimate(monkeypatch):
     # complete(6,4): 8 distinct blocks of up to 3187 rows whose bounds ask
-    # for 349 primes, about 8.5e12 kernel operations with a held-out prime
+    # for 348 primes, about 8.5e12 kernel operations with a held-out prime
     # each; refused before a block is made dense
     dense = _count_calls(monkeypatch, "_dense")
     kernels = _count_calls(monkeypatch, "_charpoly_mod_prime")
@@ -166,7 +167,7 @@ def test_guard_raises_with_estimate(monkeypatch):
                         "bound_primes"}
     assert est["predicted_ops"] > est["max_kernel_ops"]
     assert est["largest_block"] == 3187 and est["distinct_blocks"] == 8
-    assert est["bound_primes"] == 349
+    assert est["bound_primes"] == 348
     assert dense == [] and kernels == []
     # the sparse build is refused before any monomial is enumerated:
     # ultracube(3,3) would have C(54, 26) rows
@@ -182,11 +183,12 @@ def test_guard_raises_with_estimate(monkeypatch):
 def test_guard_prices_phi_before_any_matrix(monkeypatch):
     # complete(5,4) with six isolated vertices: phi(complete(5,4))^729, of
     # degree 649539, coefficients of up to 1.5e6 bits; ultracube(3,3):
-    # degree 27*2^26, priced in O(1)
+    # degree 27*2^26, priced in O(1); a 3-edge with 1097 isolated vertices:
+    # degree 1100*2^1099, past the largest float, priced exactly
     builds = _count_calls(monkeypatch, "build_macaulay")
     monkeypatch.setattr(macaulay, "_charpoly_mod_prime", _past_the_guard)
     for h in [disjoint_union(complete(5, 4), Hypergraph(6, 4, [])),
-              ultracube(3, 3)]:
+              ultracube(3, 3), Hypergraph(1100, 3, [(0, 1, 2)])]:
         with pytest.raises(GuardError) as ei:
             charpoly(h)
         est = ei.value.estimate
@@ -244,6 +246,44 @@ def test_guard_admits_large_inputs(monkeypatch, h):
 def test_predicted_bits_monotone():
     assert predicted_coefficient_bits(10, 1) < predicted_coefficient_bits(10, 5)
     assert predicted_coefficient_bits(10, 3) < predicted_coefficient_bits(50, 3)
+
+
+def _exact_dense_classes():
+    """The benchmark's exact-dense inputs: one edge list per class of
+    connected 5-vertex 3-graphs with only constant zero-sum Z_3 labelings."""
+    path = os.path.join(os.path.dirname(os.path.dirname(__file__)),
+                        "perfbench", "workloads.py")
+    spec = importlib.util.spec_from_file_location("_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.exact_dense_classes(5)
+
+
+def test_coefficient_bound_covers_blocks_and_phi():
+    # independent of the engine: the charpoly of a 0/1 matrix, c_j = (-1)^j
+    # times the sum of its order-j principal minors, fits the bound with
+    # r = sqrt(Delta), Delta its largest row sum
+    rng = random.Random(20)
+    for s in range(1, 8):
+        for _ in range(30):
+            density = rng.random()
+            mat = [[int(rng.random() < density) for _ in range(s)]
+                   for _ in range(s)]
+            bits = predicted_coefficient_bits(s, math.sqrt(max(map(sum, mat))))
+            for j in range(s + 1):
+                c = (-1) ** j * sum(
+                    int_determinant([[mat[a][b] for b in sub] for a in sub])
+                    for sub in itertools.combinations(range(s), j))
+                assert abs(c).bit_length() + 1 <= bits
+    # phi's roots are at most the largest vertex degree Delta: the price
+    # _guard_phi puts on it, with r = Delta, fits every coefficient
+    graphs = [*_all_graphs(4, 3),
+              *(Hypergraph(5, 3, edges) for edges in _exact_dense_classes())]
+    assert len(graphs) == 16 + 23
+    for h in graphs:
+        bits = predicted_coefficient_bits(
+            h.n * (h.k - 1) ** (h.n - 1), max(map(len, h.incidence)))
+        assert charpoly(h).phi.max_coefficient_bits() + 1 <= bits
 
 
 def test_strong_components_cycle_tail_and_isolated_row():
@@ -379,8 +419,9 @@ def test_charpoly_codegree_closed_forms_random():
 def _blocks(h):
     """(dense block, net exponent, lift primes) for each distinct block."""
     net, _ = macaulay._split(h)
-    return [(macaulay._dense(pattern), net[pattern], primes)
-            for pattern, primes in macaulay._guard_blocks(net).items()]
+    primes, _ = macaulay._guard_blocks(net)
+    return [(macaulay._dense(pattern), net[pattern], ps)
+            for pattern, ps in primes.items()]
 
 
 def _block_lifts(monkeypatch):
@@ -416,7 +457,7 @@ def test_charpoly_counts_the_kernels_run(monkeypatch):
     (single_edge(3), {"early": 0, "bound": 2}),
 ], ids=["complete(5,3)", "single_edge(3)"])
 def test_charpoly_records_crt_mode(h, modes):
-    # complete(5,3): the 137-row block's 80 bits settle on 6 of the 11
+    # complete(5,3): the 137-row block's 80 bits settle on 6 of the 10
     # primes its bound asks for; the others, and single_edge(3)'s blocks,
     # need fewer primes for their bounds than the lift needs to settle
     t = charpoly(h).timings
@@ -501,12 +542,12 @@ def test_charpoly_certificate_covers_phi(monkeypatch):
 
 
 def test_charpoly_primes_sized_per_block(monkeypatch):
-    # complete(5,3): the 137-row block's Hadamard bound asks for eleven
+    # complete(5,3): the 137-row block's Hadamard bound asks for ten
     # 25-bit primes, which its 80 bits do not need; the 26-row block asks
     # for two, the 1-, 3- and 12-row blocks for one each
     lifts = _block_lifts(monkeypatch)
     t = charpoly(complete(5, 3)).timings
-    assert t["bound_primes"] == 11 + 2 + 1 + 1 + 1
+    assert t["bound_primes"] == 10 + 2 + 1 + 1 + 1
     assert sorted(len(mat) for mat, _, _ in lifts) == [1, 3, 12, 26, 137]
     big = max(lifts, key=lambda lift: len(lift[0]))
     assert big[1].max_coefficient_bits() == 80 and big[2] == 6
