@@ -227,21 +227,15 @@ def disjoint_union(g: Hypergraph, h: Hypergraph) -> Hypergraph:
 def ultracube(k: int, d: int) -> Hypergraph:
     """d-fold cartesian power of the single k-edge: axis lines of a k^d grid.
 
-    Vertex ids read the coordinate tuple as a big-endian base-k numeral,
-    matching iterated cartesian_product.
+    Vertex ids read the coordinate tuple as a big-endian base-k numeral.
     """
     if d < 1:
         raise ValueError("dimension must be positive")
     if k < 2:
         raise ValueError("uniformity k must be at least 2")
-    n = k**d
-    edges = []
-    for axis in range(d):
-        stride = k ** (d - 1 - axis)
-        for base in range(n):
-            if (base // stride) % k == 0:
-                edges.append(tuple(base + c * stride for c in range(k)))
-    h = Hypergraph(n, k, edges)
+    h = single_edge(k)
+    for _ in range(d - 1):
+        h = cartesian_product(h, single_edge(k))
     if len(h.edges) != d * k ** (d - 1):
         raise ArithmeticError(
             f"ultracube has {len(h.edges)} edges, expected {d * k ** (d - 1)}")

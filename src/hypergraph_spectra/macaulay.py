@@ -19,7 +19,8 @@ minus its multiplicity in N'.  Only the patterns whose net exponent is not
 zero are made dense.
 
 Each distinct block's integer characteristic polynomial is lifted on its
-own, one kernel per prime folded into a running CRT lift.  One bound
+own, one kernel per prime folded into a running CRT lift, on the primes
+below 2^25 taken largest first from one table (_PRIMES).  One bound
 certifies the lifts and prices phi: a monic degree-D polynomial with
 |c_j| <= C(D, j)*r^j has sum_j |c_j| <= (1 + r)^D (binomial theorem).  For
 phi, r is the largest vertex degree, which bounds every eigenvalue; for an
@@ -242,19 +243,16 @@ def _dense(pattern) -> np.ndarray:
     return mat
 
 
-def _lift_primes(pattern) -> list:
-    """The CRT primes whose product covers predicted_coefficient_bits for a
-    block's charpoly (r = sqrt(Delta_B)), then one held-out prime.
-    """
+def _bound(pattern) -> int:
+    """How many table primes cover predicted_coefficient_bits for a block's
+    charpoly (r = sqrt(Delta_B)), from the first."""
     bits = predicted_coefficient_bits(
         len(pattern), math.sqrt(max(map(len, pattern))))
-    gen = _primes_descending(_prime_bits_for(len(pattern)))
-    primes, total = [], 0.0
+    count, total = 0, 0.0
     while total < bits:
-        primes.append(next(gen))
-        total += math.log2(primes[-1])
-    primes.append(next(gen))
-    return primes
+        total += math.log2(_prime(count))
+        count += 1
+    return count
 
 
 def _split(h: Hypergraph):
@@ -283,77 +281,61 @@ def _split(h: Hypergraph):
 
 
 def _guard_blocks(patterns):
-    """({pattern: lift primes}, the estimate); GuardError refuses, before
-    any is made dense, blocks predicted to exceed _MAX_BYTES or, on every
-    prime, _MAX_KERNEL_OPS.
+    """({pattern: its bound in table primes}, the estimate); GuardError
+    refuses, before any is made dense, blocks predicted to exceed
+    _MAX_BYTES or, on every bound prime and a held-out one, _MAX_KERNEL_OPS.
     """
-    primes = {pattern: _lift_primes(pattern) for pattern in patterns}
-    top = max(map(len, primes), default=0)
+    bounds = {pattern: _bound(pattern) for pattern in patterns}
+    top = max(map(len, bounds), default=0)
     # the dense blocks, then the kernel's copy, table and two temporaries
-    est = {"predicted_bytes": 8 * (sum(len(pt) ** 2 for pt in primes)
+    est = {"predicted_bytes": 8 * (sum(len(pt) ** 2 for pt in bounds)
                                    + 4 * top ** 2),
-           "predicted_ops": sum(len(pt) ** 3 * len(ps)
-                                for pt, ps in primes.items()),
+           "predicted_ops": sum(len(pt) ** 3 * (bound + 1)
+                                for pt, bound in bounds.items()),
            "max_bytes": _MAX_BYTES, "max_kernel_ops": _MAX_KERNEL_OPS,
-           "largest_block": top, "distinct_blocks": len(primes),
-           "bound_primes": sum(len(ps) - 1 for ps in primes.values())}
+           "largest_block": top, "distinct_blocks": len(bounds),
+           "bound_primes": sum(bounds.values())}
     if est["predicted_bytes"] > _MAX_BYTES or \
             est["predicted_ops"] > _MAX_KERNEL_OPS:
         raise GuardError(
-            f"{len(primes)} distinct blocks of up to {top} rows, each on its "
+            f"{len(bounds)} distinct blocks of up to {top} rows, each on its "
             f"bound's primes and a held-out one, would take "
             f"{est['predicted_ops']:.2g} kernel operations and "
             f"{est['predicted_bytes'] >> 20} MiB (budgets "
             f"{_MAX_KERNEL_OPS:.2g} and {_MAX_BYTES >> 20} MiB)", est)
-    return primes, est
+    return bounds, est
 
 
 # -- block charpolys modulo a prime, and CRT -----------------------------------
 
 
-def _is_prime(q: int) -> bool:
-    if q < 2:
-        return False
-    small = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-    for p in small:
-        if q % p == 0:
-            return q == p
-    d = q - 1
-    r = 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
-    for a in small:
-        x = pow(a, d, q)
-        if x in (1, q - 1):
-            continue
-        for _ in range(r - 1):
-            x = x * x % q
-            if x == q - 1:
-                break
-        else:
-            return False
-    return True
+# Every prime below 2^25, largest first, grown on demand by trial division
+# by the odd primes below sqrt(2^25), found on first use.  The kernel sums
+# products of two residues over s terms, below 2^63 in int64 for s < 2^13:
+# this rests on the dense-bytes guard, which admits no block over 5181 rows.
+_PRIMES = []
+_ODD_PRIMES = []
 
 
-def _primes_descending(bits: int):
-    q = (1 << bits) - 1
-    while q > 2:
-        if _is_prime(q):
-            yield q
+def _prime(i: int) -> int:
+    """The table's prime i, counted from 0 at the largest below 2^25."""
+    if not _ODD_PRIMES:
+        _ODD_PRIMES.extend(q for q in range(3, 5793, 2) if all(
+            q % d for d in range(3, math.isqrt(q) + 1, 2)))
+    q = _PRIMES[-1] if _PRIMES else (1 << 25) + 1
+    while len(_PRIMES) <= i:
         q -= 2
-
-
-def _prime_bits_for(size: int) -> int:
-    # products of two residues plus a sum over <= size terms must fit int64
-    return min(25, (62 - max(size, 2).bit_length()) // 2)
+        if all(q % p for p in _ODD_PRIMES):
+            _PRIMES.append(q)
+    return _PRIMES[i]
 
 
 def _charpoly_mod_prime(mat: np.ndarray, p: int) -> np.ndarray:
     """Characteristic polynomial coefficients of mat modulo p, ascending.
 
     Similarity reduction to Hessenberg form, then the leading-minor
-    recurrence.  All arithmetic stays below 2^63 by the prime-size choice.
+    recurrence.  All arithmetic stays below 2^63 for a table prime p on
+    fewer than 2^13 rows (see _PRIMES).
     """
     n = mat.shape[0]
     h = mat % p
@@ -404,17 +386,18 @@ def _crt_step(lift, modulus, residues, p):
     return out, new_mod
 
 
-def _lift_block(mat: np.ndarray, primes: list):
-    """A block's integer charpoly coefficients, ascending, and the primes
-    folded into their lift.  Primes are folded until the lift has stayed
-    unchanged over two of them, or they cover the bound; the next prime is
-    held out.  A disagreement at the held-out prime before the bound makes
-    it join the CRT primes, and at the bound (the last of primes) raises.
-    No prime agrees with the zero start: the charpoly is monic.
+def _lift_block(mat: np.ndarray, bound: int):
+    """A block's integer charpoly coefficients, ascending, and how many
+    table primes, from the first, were folded into their lift: until it has
+    stayed unchanged over two of them, or they cover the bound (the first
+    bound primes); the next prime is held out.  A disagreement at the
+    held-out prime before the bound makes it join the CRT primes, and at
+    the bound (prime bound) raises.  No prime agrees with the zero start:
+    the charpoly is monic.
     """
-    bound = len(primes) - 1
     lift, modulus, steady = [0] * (len(mat) + 1), 1, 0
-    for folded, p in enumerate(primes):
+    for folded in range(bound + 1):
+        p = _prime(folded)
         residues = _charpoly_mod_prime(mat, p)
         agrees = not any((c - int(v)) % p for c, v in zip(lift, residues))
         if agrees and (steady == 2 or folded == bound):
@@ -472,7 +455,7 @@ def charpoly(h: Hypergraph) -> CharPolyResult:
     phi = det(lambda*I - N) / det(lambda*I - N').  N and N' are split into
     the diagonal blocks of their strongly connected components, each
     distinct block with its net exponent, its multiplicity in N minus that
-    in N'.  Each block's integer charpoly is lifted by CRT on its own
+    in N'.  Each block's integer charpoly is lifted by CRT on the table
     primes; once the lift has stayed unchanged over two primes, the next
     one is held out, and the lift is taken if it agrees ("early") or goes
     on if not.  Otherwise the primes cover the block's certificate
@@ -510,18 +493,18 @@ def _charpoly(h: Hypergraph, parts) -> CharPolyResult:
     size, reduced = timings.pop("matrix_size"), timings.pop("reduced_size")
     # each distinct pattern, with its net exponent in the first part with it
     first = {pt: e for net, _ in reversed(splits) for pt, e in net.items()}
-    primes, est = _guard_blocks(first)
+    bounds, est = _guard_blocks(first)
     timings.update({key: est[key] for key in
                     ("distinct_blocks", "bound_primes", "predicted_ops")},
                    crt_mode={"early": 0, "bound": 0}, primes=0,
                    kernel_calls=0, kernel_ops=0)
     lifts, det_s = {}, [0.0, 0.0]
-    for pattern, ps in primes.items():
+    for pattern, bound in bounds.items():
         t0 = time.perf_counter()
-        lift, folded = _lift_block(_dense(pattern), ps)
+        lift, folded = _lift_block(_dense(pattern), bound)
         det_s[first[pattern] < 0] += time.perf_counter() - t0
         lifts[pattern] = tuple(lift)
-        timings["crt_mode"]["early" if folded < len(ps) - 1 else "bound"] += 1
+        timings["crt_mode"]["early" if folded < bound else "bound"] += 1
         timings["primes"] += folded
         timings["kernel_calls"] += folded + 1
         timings["kernel_ops"] += (folded + 1) * len(pattern) ** 3

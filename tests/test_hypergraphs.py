@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -192,15 +193,20 @@ def test_product_of_graph_edges_is_cycle():
     assert deg == [2, 2, 2, 2]
 
 
-def test_ultracube_matches_iterated_product():
-    for k, d in [(2, 2), (2, 3), (3, 2)]:
-        direct = ultracube(k, d)
-        iterated = single_edge(k)
-        for _ in range(d - 1):
-            iterated = cartesian_product(iterated, single_edge(k))
-        assert direct == iterated
-        assert direct.num_edges == d * k ** (d - 1)
-        dmin, davg, dmax = direct.degrees()
+def test_ultracube_matches_axis_lines():
+    # the iterated product against the k^d grid's axis lines, vertex ids
+    # reading the coordinates as a big-endian base-k numeral
+    for k, d in itertools.product(range(2, 6), range(1, 5)):
+        n = k ** d
+        lines = []
+        for axis in range(d):
+            stride = k ** (d - 1 - axis)
+            lines += [tuple(base + c * stride for c in range(k))
+                      for base in range(n) if (base // stride) % k == 0]
+        cube = ultracube(k, d)
+        assert cube == Hypergraph(n, k, lines)
+        assert cube.num_edges == d * k ** (d - 1)
+        dmin, davg, dmax = cube.degrees()
         assert dmin == dmax == d
 
 

@@ -243,6 +243,33 @@ def test_guard_admits_large_inputs(monkeypatch, h):
         charpoly(h)
 
 
+def test_prime_table_is_every_prime_below_2_25():
+    # the primes every lift has folded, largest first; by trial division
+    # here, each of the first 100 entries is prime and every odd number
+    # between two consecutive ones, or above the first, is not
+    table = [macaulay._prime(i) for i in range(100)]
+    assert table[:6] == [33554393, 33554383, 33554371, 33554347, 33554341,
+                         33554317]
+    assert table[29] == 33553901
+
+    def odd_prime(q):
+        return all(q % d for d in range(3, math.isqrt(q) + 1, 2))
+
+    assert all(map(odd_prime, table))
+    for hi, lo in zip([1 << 25, *table], table):
+        assert not any(map(odd_prime, range(lo + 2, hi, 2)))
+
+
+def test_bytes_guard_keeps_kernels_in_int64():
+    # a kernel on s rows sums s products of two residues below 2^25, below
+    # 2^63 for s < 2^13; the dense-bytes guard prices an s-row block at
+    # 8*(s^2 + 4*s^2) bytes or more, so it refuses 2^13 rows
+    assert 40 * (1 << 13) ** 2 > macaulay._MAX_BYTES
+    with pytest.raises(GuardError) as ei:
+        macaulay._guard_blocks({tuple((i,) for i in range(1 << 13)): 1})
+    assert ei.value.estimate["predicted_bytes"] > macaulay._MAX_BYTES
+
+
 def test_predicted_bits_monotone():
     assert predicted_coefficient_bits(10, 1) < predicted_coefficient_bits(10, 5)
     assert predicted_coefficient_bits(10, 3) < predicted_coefficient_bits(50, 3)
@@ -417,11 +444,12 @@ def test_charpoly_codegree_closed_forms_random():
 
 
 def _blocks(h):
-    """(dense block, net exponent, lift primes) for each distinct block."""
+    """(dense block, net exponent, bound in table primes) for each distinct
+    block."""
     net, _ = macaulay._split(h)
-    primes, _ = macaulay._guard_blocks(net)
-    return [(macaulay._dense(pattern), net[pattern], ps)
-            for pattern, ps in primes.items()]
+    bounds, _ = macaulay._guard_blocks(net)
+    return [(macaulay._dense(pattern), net[pattern], bound)
+            for pattern, bound in bounds.items()]
 
 
 def _block_lifts(monkeypatch):
@@ -429,8 +457,8 @@ def _block_lifts(monkeypatch):
     lifts = []
     real = macaulay._lift_block
 
-    def recorded(mat, primes):
-        lift, folded = real(mat, primes)
+    def recorded(mat, bound):
+        lift, folded = real(mat, bound)
         lifts.append((mat, UniPoly(enumerate(lift)), folded))
         return lift, folded
 
@@ -478,13 +506,13 @@ def test_charpoly_early_lift_caught_by_held_out_prime(monkeypatch):
     h = complete(5, 3)
     clean = charpoly(h)
     blocks = _blocks(h)
-    big, net, primes = max(blocks, key=lambda b: len(b[0]))
-    lift, folded = macaulay._lift_block(big, primes)
-    assert net == 1 and folded < len(primes) - 1
+    big, net, bound = max(blocks, key=lambda b: len(b[0]))
+    lift, folded = macaulay._lift_block(big, bound)
+    assert net == 1 and folded < bound
     f = UniPoly(enumerate(lift))
     den, rem = f.divide(clean.phi)
     assert rem == 0 and den.degree == 137 - 80
-    e = UniPoly({1: math.prod(primes[:folded])})
+    e = UniPoly({1: math.prod(map(macaulay._prime, range(folded)))})
     real = macaulay._charpoly_mod_prime
 
     def fabricate(g):
@@ -576,10 +604,10 @@ def test_charpoly_checks_are_wired(monkeypatch, which, h):
     # each block stops at its bound; a wrong residue on its first CRT prime
     # or on its held-out prime makes the held-out prime disagree
     blocks = _blocks(h)
-    block, net, primes = max(blocks, key=lambda b: (b[1] < 0, len(b[0])))
+    block, net, bound = max(blocks, key=lambda b: (b[1] < 0, len(b[0])))
     assert (net < 0) == (h.k == 3)
-    _corrupt_one_prime(monkeypatch, primes[0 if which == "crt" else -1],
-                       block)
+    _corrupt_one_prime(monkeypatch,
+                       macaulay._prime(0 if which == "crt" else bound), block)
     with pytest.raises(ArithmeticError, match="held-out prime"):
         _charpoly_direct(h)
 
@@ -587,7 +615,7 @@ def test_charpoly_checks_are_wired(monkeypatch, which, h):
 @pytest.mark.slow
 def test_charpoly_ultracube_3_2_is_pinned():
     # the 43758-row matrix of the 2-dim 3-ultracube: 93 distinct blocks of
-    # up to 322 rows, each lifted on its own primes
+    # up to 322 rows, each lifted on its own
     cube = UniPoly({3: 1})
     phi = (UniPoly({549: 1}) * (cube - 1) ** 18 * (cube + 1) ** 54
            * (cube - 8) ** 27 * (cube - 2) ** 486)

@@ -173,10 +173,9 @@ def _whole_matrix_phi(h):
     minor = full[np.ix_(keep, keep)]
     degree = h.n * (h.k - 1) ** (h.n - 1)
     bits = predicted_coefficient_bits(degree, mac.max_row_sum)
-    gen = macaulay._primes_descending(macaulay._prime_bits_for(mac.size))
     primes = []
     while sum(map(math.log2, primes)) < bits + 8:
-        primes.append(next(gen))
+        primes.append(macaulay._prime(len(primes)))
     residues = []
     for p in primes:
         num = macaulay._charpoly_mod_prime(full, p)
