@@ -226,6 +226,14 @@ def test_nan_tolerance_is_an_input_error(capsys):
         assert "tolerance must be positive" in err
 
 
+def test_non_finite_eigenpair_is_an_input_error(capsys):
+    for value, vector in (("nan", "nan,nan,nan,nan"), ("3", "1,1,nan,1")):
+        code, out, err = run(capsys, "verify", "--family", "complete:n=4,k=3",
+                             "--value", value, "--vector", vector)
+        assert code == 1 and out == "", vector
+        assert "non-finite" in err
+
+
 def test_lambda_max_rejects_zero_iterations(capsys):
     code, out, err = run(capsys, "lambda-max", "--family", "complete:n=4,k=3",
                          "--max-iter", "0")

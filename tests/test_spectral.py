@@ -52,6 +52,17 @@ def test_verify_eigenpair_rejects_zero_vector():
         verify_eigenpair(single_edge(3), 1, [1, 1])
 
 
+def test_verify_eigenpair_rejects_non_finite_input():
+    # max() skips a NaN residual term, so NaN must be refused up front
+    h = complete(4, 3)
+    nan, inf = float("nan"), float("inf")
+    for lam, x in ((nan, [nan] * 4), (3, [1, 1, nan, 1]), (nan, [1] * 4),
+                   (3, [1, inf, 1, 1]), (3, [1, 1, 1, complex(1, nan)])):
+        with pytest.raises(ValueError, match="non-finite"):
+            verify_eigenpair(h, lam, x)
+    assert verify_eigenpair(h, 3, [1, 1, 1, 1]) == 0.0
+
+
 def test_verify_eigenpair_scales_residual():
     # doubling a non-eigenvector must not change the scaled residual
     h = single_edge(2)
@@ -133,6 +144,60 @@ def test_lambda_max_verifies_once(monkeypatch):
     rep = lambda_max(h)
     assert calls == []
     assert rep.residual == real(h, rep.value, rep.vector)
+
+
+def _random_connected(rng, n, k):
+    """A seeded random connected k-graph on n vertices with 2n edges: the
+    windows of k consecutive vertices, then random edges."""
+    edges = {tuple(range(i, i + k)) for i in range(n - k + 1)}
+    while len(edges) < 2 * n:
+        edges.add(tuple(sorted(rng.sample(range(n), k))))
+    h = Hypergraph(n, k, sorted(edges))
+    assert len(h.components()) == 1
+    return h
+
+
+def test_lambda_max_array_step_agrees_with_the_float_loop(monkeypatch):
+    # the array step rounds some powers and the normalising sum differently
+    # from Python floats, so the two paths agree to a tolerance, not in bits
+    rng = random.Random(41)
+    cut = spectral._ARRAY_MIN_N
+    for k in (3, 4, 5):
+        for n in (cut - 6, cut - 1, cut, cut + 7, 60):
+            h = _random_connected(rng, n, k)
+            reports = []
+            for bound in (math.inf, 1):
+                monkeypatch.setattr(spectral, "_ARRAY_MIN_N", bound)
+                reports.append(lambda_max(h))
+            floats, arrays = reports
+            assert floats.converged and arrays.converged
+            assert floats.iterations == arrays.iterations, (k, n)
+            for a, b in ((floats.lower, arrays.lower),
+                         (floats.upper, arrays.upper)):
+                assert abs(a - b) <= 1e-13 * abs(a), (k, n)
+            # entries are at most 1: the k-th powers sum to 1
+            assert max(abs(a - b) for a, b in
+                       zip(floats.vector, arrays.vector)) <= 1e-13, (k, n)
+            assert all(type(v) is float for v in arrays.vector)
+
+
+def test_lambda_max_takes_the_float_loop_below_the_array_size(monkeypatch):
+    calls = []
+    real = spectral._link_sums
+
+    def counted(arrays, x, n):
+        calls.append(n)
+        return real(arrays, x, n)
+
+    monkeypatch.setattr(spectral, "_link_sums", counted)
+    cut = spectral._ARRAY_MIN_N
+    rng = random.Random(43)
+    small = lambda_max(_random_connected(rng, cut - 1, 3))
+    # one call per step, then one for the residual
+    assert calls == [cut - 1] * (small.iterations + 1)
+    calls.clear()
+    lambda_max(_random_connected(rng, cut, 3))
+    assert calls == [cut]
 
 
 def test_lambda_max_rejects_zero_iterations():
