@@ -10,7 +10,10 @@ product per column and one np.bincount over the rows give every vertex's
 sum, added in edge order like a loop over its links, so the floats are the
 loop's.  The rest of a lambda_max step is array work from _ARRAY_MIN_N
 vertices up; below, Python floats are as fast and keep the bits numpy's **
-would move.  greedy_color takes its smallest-last order from a heap.
+would move.  lambda_max shifts its NQZ step by Delta/(2(k-1)), Delta the
+largest degree: the smallest shift that provably damps the step map's
+negative eigenvalues without knowing lambda_max, about half the steps of a
+shift by Delta.  greedy_color takes its smallest-last order from a heap.
 """
 
 from __future__ import annotations
@@ -118,7 +121,8 @@ def verify_eigenpair(h: Hypergraph, lam, x) -> float:
     """Max residual of the eigenvalue equations, scaled by the vector size.
 
     Returns max_j |sum over links(j) of x^e - lam * x_j^(k-1)|, divided by
-    max(1, max_i |x_i|^(k-1)); a non-finite value or entry is a ValueError.
+    max(1, max_i |x_i|^(k-1)); a non-finite value or entry, or one whose
+    terms overflow double precision, is a ValueError.
     """
     return _eigen_residual(h, _edge_arrays(h), lam, x)
 
@@ -134,10 +138,19 @@ def _eigen_residual(h: Hypergraph, arrays, lam, x) -> float:
     if not all(map(cmath.isfinite, vec + [lam])):
         raise ValueError("eigenpair has a non-finite value or entry")
     k = h.k
-    norm = max(abs(v) for v in vec) ** (k - 1)
-    sums = _link_sums(arrays, vec, h.n)
-    worst = max(0.0, *(abs(s - lam * v ** (k - 1)) for s, v in zip(sums, vec)))
-    return worst / max(1.0, norm)
+    # an entry's (k-1)-th power overflows as OverflowError in Python and as
+    # inf or NaN in numpy; max() would skip a NaN term, so both are refused
+    overflow = ValueError("eigenpair overflows double precision")
+    try:
+        norm = max(abs(v) for v in vec) ** (k - 1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            sums = _link_sums(arrays, vec, h.n)
+        terms = [abs(s - lam * v ** (k - 1)) for s, v in zip(sums, vec)]
+    except OverflowError:
+        raise overflow from None
+    if not all(map(math.isfinite, terms)):
+        raise overflow
+    return max(0.0, *terms) / max(1.0, norm)
 
 
 @dataclass
@@ -180,13 +193,25 @@ def _lambda_max_connected(h: Hypergraph, arrays, tol: float, max_iter: int):
     """(lower, upper, vector, iterations, converged) of the shifted power
     iteration on a connected input whose edge arrays are given.
 
+    The step is NQZ's (Ng, Qi and Zhou, 2009): x -> (A x^(k-1) + alpha
+    x^[k-1])^[1/(k-1)], normalised.  Near the Perron pair (rho, x*) it maps
+    an error e to (rho S + alpha I) e / (rho + alpha), where S = D^-1 W,
+    W = sum over edges e of pi_e (J_e - I_e), pi_e = prod_(u in e) x*_u and
+    D = (k-1) diag(sum over e through i of pi_e).  W >= -D/(k-1), so S is
+    similar to a symmetric matrix with spectrum in [-1/(k-1), 1].  With
+    c = alpha/rho >= 1/(2(k-1)) the negative end contributes at most
+    c/(1+c), and the rate (sigma_2 + c)/(1 + c), sigma_2 < 1 the next
+    eigenvalue of S, falls with c.  As the largest degree Delta >= rho,
+    alpha = Delta/(2(k-1)) is the smallest shift safe without knowing rho.
+    The Collatz bounds hold for any positive vector.
+
     From _ARRAY_MIN_N vertices up a step is float64 array work, its sum left
     to right; below, Python floats keep the bits numpy's ** would move."""
     n, k = h.n, h.k
     x = _uniform_unit_vector(n, k)
     if h.num_edges == 0:
         return 0.0, 0.0, x, 0, True
-    shift = float(np.bincount(arrays[0], minlength=n).max())
+    shift = float(np.bincount(arrays[0], minlength=n).max()) / (2 * (k - 1))
     lower = -math.inf
     upper = math.inf
     iterations = 0

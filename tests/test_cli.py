@@ -227,11 +227,14 @@ def test_nan_tolerance_is_an_input_error(capsys):
 
 
 def test_non_finite_eigenpair_is_an_input_error(capsys):
-    for value, vector in (("nan", "nan,nan,nan,nan"), ("3", "1,1,nan,1")):
+    # 1e200 is finite, but its square overflows a double
+    for value, vector, why in (("nan", "nan,nan,nan,nan", "non-finite"),
+                               ("3", "1,1,nan,1", "non-finite"),
+                               ("3", "1,1,1e200,1", "overflows")):
         code, out, err = run(capsys, "verify", "--family", "complete:n=4,k=3",
                              "--value", value, "--vector", vector)
         assert code == 1 and out == "", vector
-        assert "non-finite" in err
+        assert why in err
 
 
 def test_lambda_max_rejects_zero_iterations(capsys):

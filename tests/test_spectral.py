@@ -63,6 +63,17 @@ def test_verify_eigenpair_rejects_non_finite_input():
     assert verify_eigenpair(h, 3, [1, 1, 1, 1]) == 0.0
 
 
+def test_verify_eigenpair_refuses_overflow():
+    # finite entries whose (k-1)-th powers or link sums overflow: the first
+    # raised OverflowError, the second hid a NaN term and returned 0.0
+    h = complete(4, 3)
+    for lam, x in ((3, [1, 1, 1e200, 1]), (1e10, [1e154] * 4),
+                   (3, [1, 1e200j, 1, 1])):
+        with pytest.raises(ValueError, match="overflows"):
+            verify_eigenpair(h, lam, x)
+    assert verify_eigenpair(h, 3, [1e100] * 4) == 0.0
+
+
 def test_verify_eigenpair_scales_residual():
     # doubling a non-eigenvector must not change the scaled residual
     h = single_edge(2)
@@ -198,6 +209,53 @@ def test_lambda_max_takes_the_float_loop_below_the_array_size(monkeypatch):
     calls.clear()
     lambda_max(_random_connected(rng, cut, 3))
     assert calls == [cut]
+
+
+def test_lambda_max_converges_on_periodic_cylinders():
+    # a complete cylinder's step map has the eigenvalue -1/(k-1), the
+    # negative end that the shift Delta/(2(k-1)) must still damp
+    for parts in ([1, 5], [2, 7], [1, 1, 30], [2, 3, 4, 5]):
+        rep = lambda_max(complete_cylinder(parts))
+        assert rep.converged, parts
+        assert abs(rep.value - cylinder_spectrum(parts).max_real()) < 1e-8
+
+
+def test_lambda_max_encloses_slow_mixing_inputs():
+    # a long loose path mixes slowly; a sunflower's core has degree 20
+    # against 1 at every petal vertex
+    path = Hypergraph(101, 3, [(2 * i, 2 * i + 1, 2 * i + 2)
+                               for i in range(50)])
+    sunflower = Hypergraph(41, 3, [(0, 2 * i + 1, 2 * i + 2)
+                                   for i in range(20)])
+    for h in (path, sunflower):
+        rep = lambda_max(h)
+        fine = lambda_max(h, tol=1e-12)
+        assert rep.converged and fine.converged
+        assert rep.lower <= fine.value <= rep.upper
+
+
+def test_lambda_max_iteration_counts():
+    # the shift Delta/(2(k-1)) against the largest degree Delta: the random
+    # 3-graph of the CI's lambda-max step took 72 iterations under Delta
+    rng = random.Random(1)
+    edges = set()
+    while len(edges) < 20000:
+        edges.add(tuple(sorted(rng.sample(range(3000), 3))))
+    rep = lambda_max(Hypergraph(3000, 3, sorted(edges)))
+    assert rep.converged and rep.iterations <= 40
+    # 200 tiny random 3-graphs, drawn like numeric-small's, took 11991
+    # iterations in all under Delta
+    rng = random.Random(23)
+    pools = {n: list(itertools.combinations(range(n), 3))
+             for n in range(6, 15)}
+    total = 0
+    for _ in range(200):
+        n = rng.randint(6, 14)
+        rep = lambda_max(Hypergraph(
+            n, 3, rng.sample(pools[n], rng.randint(n, 3 * n))))
+        assert rep.converged
+        total += rep.iterations
+    assert total <= 0.55 * 11991
 
 
 def test_lambda_max_rejects_zero_iterations():
