@@ -178,17 +178,23 @@ def tetra_minus_face() -> Hypergraph:
     return Hypergraph(4, 3, [(0, 1, 2), (0, 1, 3), (0, 2, 3)])
 
 
+def _part_sizes(parts) -> list:
+    """parts as ints: two or more, each a positive integer."""
+    sizes = list(parts)
+    if len(sizes) < 2:
+        raise ValueError("need at least two parts")
+    if any(m % 1 or m < 1 for m in sizes):  # NaN, or inf: inf % 1 is NaN
+        raise ValueError(f"part sizes {sizes} are not all positive integers")
+    return [int(m) for m in sizes]
+
+
 def complete_cylinder(parts) -> Hypergraph:
     """All transversals of k disjoint parts; parts gives the part sizes.
 
     Uniformity is the number of parts; part i occupies the next parts[i]
     vertex ids in order.
     """
-    sizes = [int(m) for m in parts]
-    if len(sizes) < 2:
-        raise ValueError("need at least two parts")
-    if any(m < 1 for m in sizes):
-        raise ValueError("part sizes must be positive")
+    sizes = _part_sizes(parts)
     groups = []
     base = 0
     for m in sizes:

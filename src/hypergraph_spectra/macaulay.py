@@ -284,12 +284,12 @@ def _guard_blocks(patterns):
     """({pattern: its bound in table primes}, the estimate); GuardError
     refuses, before any is made dense, blocks predicted to exceed
     _MAX_BYTES or, on every bound prime and a held-out one, _MAX_KERNEL_OPS.
+    One block is dense at a time, so the bytes are the largest's.
     """
     bounds = {pattern: _bound(pattern) for pattern in patterns}
     top = max(map(len, bounds), default=0)
-    # the dense blocks, then the kernel's copy, table and two temporaries
-    est = {"predicted_bytes": 8 * (sum(len(pt) ** 2 for pt in bounds)
-                                   + 4 * top ** 2),
+    # the dense block, then the kernel's copy, table and two temporaries
+    est = {"predicted_bytes": 40 * top ** 2,
            "predicted_ops": sum(len(pt) ** 3 * (bound + 1)
                                 for pt, bound in bounds.items()),
            "max_bytes": _MAX_BYTES, "max_kernel_ops": _MAX_KERNEL_OPS,

@@ -290,8 +290,9 @@ def enumerate_monomials(n: int, d: int) -> list:
     order.  At the first place two such tuples differ, the smaller holds
     more copies of that index, so its exponent vector is the larger.
 
-    The Macaulay rows, the splits of a generalized trace and the phase
-    counts of a cylinder spectrum all come from here.
+    The Macaulay rows, the degree splits of a generalized trace and each
+    vertex's multisets of link edges within one, and the phase counts of a
+    cylinder spectrum all come from here.
     """
     if n < 1:
         raise ValueError("need at least one variable")
@@ -347,8 +348,6 @@ def square_free_decomposition(p: UniPoly) -> list:
         return []
     d = f.derivative()
     g = _poly_gcd(f, d)
-    if g.degree == 0:
-        return [(f, 1)]
     c = _exact_quotient(f, g)
     w = _exact_quotient(d, g) - c.derivative()
     out = []

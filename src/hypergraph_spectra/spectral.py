@@ -29,6 +29,7 @@ import numpy as np
 from .errors import GuardError
 from .hypergraphs import (
     Hypergraph,
+    _part_sizes,
     cartesian_product,
     complete,
     complete_cylinder,
@@ -453,9 +454,9 @@ def cylinder_spectrum(part_sizes) -> FamilySpectrum:
     enumerated by count vectors.  Zero belongs to the spectrum except for a
     single 2-uniform edge.
     """
-    sizes = [int(m) for m in part_sizes]
+    sizes = _part_sizes(part_sizes)
     k = len(sizes)
-    num_phases = max(k - 1, 1)
+    num_phases = k - 1
     total_assignments = 1
     for m in sizes:
         total_assignments *= math.comb(m + num_phases - 1, num_phases - 1)
@@ -465,11 +466,6 @@ def cylinder_spectrum(part_sizes) -> FamilySpectrum:
             {"assignments": total_assignments, "guard": _MAX_ASSIGNMENTS})
     h = complete_cylinder(sizes)
     n = h.n
-    groups = []
-    base = 0
-    for m in sizes:
-        groups.append(list(range(base, base + m)))
-        base += m
     zeta = cmath.exp(2j * cmath.pi / num_phases) if num_phases > 1 else 1.0
     omega = cmath.exp(2j * cmath.pi / k)
     found = _Eigenpairs(h)
@@ -480,10 +476,10 @@ def cylinder_spectrum(part_sizes) -> FamilySpectrum:
         e0[0] = 1.0
         found.add(0j, "0", e0)
     elif n > 2:
-        big = max(range(k), key=lambda i: sizes[i])
+        # +1 and -1 on the first two vertices of the first largest part
+        start = sum(sizes[:sizes.index(max(sizes))])
         w = [0.0] * n
-        w[groups[big][0]] = 1.0
-        w[groups[big][1]] = -1.0
+        w[start:start + 2] = [1.0, -1.0]
         found.add(0j, "0", w)
 
     # phase counts in ascending lex order, the order the values are listed in
@@ -507,14 +503,12 @@ def cylinder_spectrum(part_sizes) -> FamilySpectrum:
             lam = lam_base * omega ** t
             if _dedup_key(lam) in found:
                 continue
-            witness = [0j] * n
-            for i, (grp, cvec) in enumerate(zip(groups, counts)):
+            # part by part, in complete_cylinder's vertex order
+            witness = []
+            for i, cvec in enumerate(counts):
                 mu = mus[i] * (omega ** t if i == 0 else 1.0)
-                pos = 0
                 for r, c in enumerate(cvec):
-                    for _ in range(c):
-                        witness[grp[pos]] = zeta ** r * mu
-                        pos += 1
+                    witness += [zeta ** r * mu] * c
             desc = f"rot{t} of ({m_desc})^({k - 1}/{k})"
             found.add(lam, desc, witness)
     return found.spectrum("complete_cylinder" + str(tuple(sizes)),

@@ -104,20 +104,25 @@ def count_closed_arrangements(arcs) -> int:
     return out
 
 
-def _vertex_choices(link, weight: int, support):
-    """Multisets of `weight` link edges inside `support`, with multinomial
-    coefficients weight! / prod(multiplicity!).
-    """
-    usable = [rest for rest in link if all(u in support for u in rest)]
-    fact_w = math.factorial(weight)
-    for combo in itertools.combinations_with_replacement(range(len(usable)), weight):
-        coeff = fact_w
-        run = 1
-        for a, b in zip(combo, combo[1:]):
-            run = run + 1 if a == b else 1
-            if run > 1:
-                coeff //= run
-        yield [usable[i] for i in combo], coeff
+def _arc_choices(v: int, link, dv: int, split) -> list:
+    """[(arcs v -> u as sorted (arc, multiplicity) pairs, weight)]: v's
+    multisets of dv link edges inside the split's support, weighted by
+    dv!/prod m_i!, with the weights of those giving the same arcs summed."""
+    usable = [rest for rest in link if split.keys() >= set(rest)]
+    if not usable:
+        return []
+    merged: dict = {}
+    for mults in enumerate_monomials(len(usable), dv):
+        arcs: dict = {}
+        weight = math.factorial(dv)
+        for rest, m in zip(usable, mults):
+            if m:
+                weight //= math.factorial(m)
+                for u in rest:
+                    arcs[(v, u)] = arcs.get((v, u), 0) + m
+        key = tuple(sorted(arcs.items()))
+        merged[key] = merged.get(key, 0) + weight
+    return list(merged.items())
 
 
 def generalized_trace(h: Hypergraph, d: int) -> int:
@@ -138,42 +143,26 @@ def generalized_trace(h: Hypergraph, d: int) -> int:
     active = [v for v in range(n) if links[v]]
     if not active:
         return 0
-    scale = (k - 1) ** (n - 1)
     total = Fraction(0)
     for exps in enumerate_monomials(len(active), d):
         split = {v: e for v, e in zip(active, exps) if e}
-        support = set(split)
         # factor 1/prod (d_v (k-1))!
         denom = 1
-        for v, dv in split.items():
+        for dv in split.values():
             denom *= math.factorial(dv * (k - 1))
-        contrib = _sum_over_choices(links, split, support)
+        # the vertices' arcs are disjoint, having distinct tails
+        contrib = 0
+        for choice in itertools.product(*(_arc_choices(v, links[v], dv, split)
+                                          for v, dv in split.items())):
+            arcs, weights = zip(*choice)
+            contrib += math.prod(weights) * count_closed_arrangements(
+                dict(itertools.chain.from_iterable(arcs)))
         if contrib:
             total += Fraction(contrib, denom)
-    result = total * scale
+    result = total * (k - 1) ** (n - 1)
     if result.denominator != 1:
         raise ArithmeticError(f"generalized trace {result} is not an integer")
     return int(result)
-
-
-def _sum_over_choices(links, split, support):
-    """Sum of weighted closed-arrangement counts over per-vertex choices."""
-    items = sorted(split.items())
-
-    def rec(idx, arcs, coeff):
-        if idx == len(items):
-            return coeff * count_closed_arrangements(arcs)
-        v, dv = items[idx]
-        total = 0
-        for chosen, mult in _vertex_choices(links[v], dv, support):
-            new_arcs = dict(arcs)
-            for rest in chosen:
-                for u in rest:
-                    new_arcs[(v, u)] = new_arcs.get((v, u), 0) + 1
-            total += rec(idx + 1, new_arcs, coeff * mult)
-        return total
-
-    return rec(0, {}, 1)
 
 
 def schur_coefficients(traces) -> list:

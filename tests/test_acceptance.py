@@ -102,3 +102,29 @@ def test_c11_greedy_color_bound():
     """Greedy weak coloring proper with count <= floor(lambda_max)+1 on 100
     random 3-graphs."""
     _check("11", ["greedy-color-bound"])
+
+
+_DEFAULT_GATE = [
+    "single-edge-charpoly-k2", "single-edge-charpoly-k3",
+    "single-edge-charpoly-k4", "tetra-minus-face-charpoly",
+    "codegree-identities-n4-exhaustive", "codegree-identities-n5-random",
+    "trace-macaulay-agreement-n4", "lambda-max-complete-3graphs",
+    "lambda-max-bipartite-cylinders", "lambda-max-degree-sandwich",
+    "ultracube-sporadic-3-2", "cartesian-pairs-single-edge",
+    "cylinder-2-2-2-witnesses", "cylinder-codegree-symmetry",
+    "disjoint-union-factorization", "greedy-color-bound",
+    "ultracube-q32-product-consistency",
+]
+
+
+def test_run_all_passes_the_gated_ids_in_table_order(monkeypatch):
+    calls = []
+    monkeypatch.setattr(repro, "run_claims",
+                        lambda ids: calls.append(list(ids)) or [])
+    assert repro.run_all() == []
+    assert repro.run_all(include_slow=True) == []
+    everything = list(_DEFAULT_GATE)
+    everything.insert(everything.index("lambda-max-complete-3graphs"),
+                      "simplex-constant-k4")
+    everything.append("ultracube-q32-charpoly")
+    assert calls == [_DEFAULT_GATE, everything]

@@ -119,6 +119,11 @@ def test_coeffs_simplex_constant(capsys):
     payload = json.loads(out)
     assert payload["coefficients"] == ["1", "0", "0", "-24", "-42"]
     assert payload["implied_simplex_constant"] == "21"
+    code, out, _ = run(capsys, "coeffs", "--family", "complete:n=4,k=3")
+    assert code == 0
+    assert out.splitlines() == [
+        "codegree 0: 1", "codegree 1: 0", "codegree 2: 0", "codegree 3: -24",
+        "codegree 4: -42", "implied simplex constant: 21"]
 
 
 def test_traces_text(capsys):
@@ -129,6 +134,11 @@ def test_traces_text(capsys):
     assert lines[0] == "Tr_0 = 12"
     assert lines[1] == "Tr_1 = 0"
     assert lines[3] == "Tr_3 = 9"
+    code, out, _ = run(capsys, "traces", "--family", "single-edge", "--k", "3",
+                       "--max-codegree", "3", "--format", "json")
+    assert code == 0
+    assert json.loads(out) == {"n": 3, "k": 3,
+                               "traces": ["12", "0", "0", "9"]}
 
 
 def test_spectrum_json(capsys):
@@ -146,6 +156,14 @@ def test_spectrum_json(capsys):
     assert any(abs(re - 3) < 1e-6 and abs(im) < 1e-9
                for re, im in payload["values"])
 
+    code, out, _ = run(capsys, "spectrum", "--family", "cylinder:parts=1,1,1")
+    assert code == 0
+    lines = out.splitlines()
+    assert len(lines) == 4
+    assert lines[0] == "+0.000000000+0.000000000i  residual 0.00e+00  [0]"
+    assert lines[1].startswith("+1.000000000-0.000000000i  residual ")
+    assert lines[1].endswith("  [rot0 of (-1,-1,-1)^(2/3)]")
+
 
 def test_lambda_max_json(capsys):
     code, out, _ = run(capsys, "lambda-max", "--family", "complete:n=4,k=3",
@@ -155,6 +173,9 @@ def test_lambda_max_json(capsys):
     assert abs(payload["value"] - 3) < 1e-8
     assert payload["converged"] is True
     assert payload["lower"] <= payload["value"] <= payload["upper"]
+    code, out, _ = run(capsys, "lambda-max", "--family", "complete:n=4,k=3")
+    assert code == 0
+    assert out == "lambda_max = 3 in [3, 3] after 1 iterations\n"
 
 
 def test_bounds_json(capsys):
@@ -166,6 +187,9 @@ def test_bounds_json(capsys):
     assert payload["d_exact"] == "9/4"
     assert payload["Delta"] == 3
     assert payload["pass"] is True
+    code, out, _ = run(capsys, "bounds", "--family", "tetra-minus-face")
+    assert code == 0
+    assert out == "d = 9/4 <= lambda_max = 2.28942849 <= Delta = 3: PASS\n"
 
 
 def test_color(capsys):
@@ -175,6 +199,12 @@ def test_color(capsys):
     payload = json.loads(out)
     assert payload["count"] == 2
     assert sorted(payload["colors"]) == ["0", "1", "2", "3"]
+    code, out, _ = run(capsys, "color", "--family", "complete:n=4,k=3")
+    assert code == 0
+    summary, colors = out.splitlines()
+    assert summary == f"2 colors, degeneracy {payload['degeneracy']}"
+    assert colors.split() == [str(payload["colors"][str(v)])
+                              for v in range(4)]
 
 
 def test_verify_exit_codes(capsys):
@@ -184,6 +214,11 @@ def test_verify_exit_codes(capsys):
     assert code == 0 and "PASS" in out
     code, out, _ = run(capsys, *ok, "--value", "2")
     assert code == 2 and "FAIL" in out
+    for value, code_want, passed in (("1", 0, True), ("2", 2, False)):
+        code, out, _ = run(capsys, *ok, "--value", value, "--format", "json")
+        payload = json.loads(out)
+        assert code == code_want and payload["pass"] is passed
+        assert payload["value"] == [float(value), 0.0]
 
 
 def test_verify_complex_vector(capsys):
@@ -201,6 +236,12 @@ def test_family_summary(capsys):
     payload = json.loads(out)
     assert payload["n"] == 9 and payload["num_edges"] == 6
     assert abs(payload["sporadic_value"] - 2 ** (1 / 3)) < 1e-12
+    code, out, _ = run(capsys, "family", "--family", "ultracube:k=3,d=2")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines == sorted(lines) and len(lines) == len(payload)
+    assert "n: 9" in lines and "num_edges: 6" in lines
+    assert "connected: True" in lines
 
 
 def test_usage_errors(capsys):
@@ -259,6 +300,24 @@ def test_repro_single_claim(capsys):
     assert len(payload) == 1
     assert payload[0]["claim"] == "single-edge-charpoly-k2"
     assert payload[0]["match"] is True
+    code, out, _ = run(capsys, "repro", "--only", "single-edge-charpoly-k2")
+    assert code == 0
+    row, summary = out.splitlines()
+    assert row.startswith("ok  single-edge-charpoly-k2  ")
+    assert row.endswith("s  expected L^2 - 1 | computed L^2 - 1")
+    assert summary == "1/1 claims match"
+
+
+def test_repro_text_marks_a_mismatch(capsys, monkeypatch):
+    rows = [repro.ClaimResult("a", "default", "", "1", "1", True, 0.5),
+            repro.ClaimResult("long-id", "slow", "", "1", "2", False, 2.0)]
+    monkeypatch.setattr(repro, "run_all", lambda include_slow: rows)
+    code, out, _ = run(capsys, "repro")
+    assert code == 2
+    assert out.splitlines() == [
+        "ok  a            0.50s  expected 1 | computed 1",
+        "ERR long-id      2.00s  expected 1 | computed 2",
+        "1/2 claims match"]
 
 
 def test_repro_unknown_claim(capsys):

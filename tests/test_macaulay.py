@@ -262,12 +262,17 @@ def test_prime_table_is_every_prime_below_2_25():
 
 def test_bytes_guard_keeps_kernels_in_int64():
     # a kernel on s rows sums s products of two residues below 2^25, below
-    # 2^63 for s < 2^13; the dense-bytes guard prices an s-row block at
-    # 8*(s^2 + 4*s^2) bytes or more, so it refuses 2^13 rows
+    # 2^63 for s < 2^13; the dense-bytes guard prices the largest block, of
+    # s rows, at 8*(s^2 + 4*s^2) bytes, so it refuses 2^13 rows
     assert 40 * (1 << 13) ** 2 > macaulay._MAX_BYTES
     with pytest.raises(GuardError) as ei:
         macaulay._guard_blocks({tuple((i,) for i in range(1 << 13)): 1})
     assert ei.value.estimate["predicted_bytes"] > macaulay._MAX_BYTES
+    # one block is dense at a time: the others add nothing to the bytes
+    net, _ = macaulay._split(complete_cylinder([2, 2, 3]))
+    _, est = macaulay._guard_blocks(net)
+    assert est["distinct_blocks"] > 1
+    assert est["predicted_bytes"] == 40 * est["largest_block"] ** 2
 
 
 def test_predicted_bits_monotone():

@@ -515,6 +515,21 @@ def test_cylinder_spectrum_guard():
         cylinder_spectrum([40, 40, 40, 40, 40])
 
 
+def test_cylinder_rejects_non_integral_part_sizes(monkeypatch):
+    # int() truncated 2.5 and 1.9 and overflowed on inf; the sizes are now
+    # refused before the guard prices them or any phase is enumerated
+    calls = []
+    for name in ("enumerate_monomials", "complete_cylinder"):
+        monkeypatch.setattr(spectral, name, lambda *a: calls.append(a))
+    for parts in ([2, 2.5], [1, 1.9], [2, math.inf], [2, math.nan],
+                  [40, 40, 40, 40, 40.5]):
+        with pytest.raises(ValueError, match="not all positive integers"):
+            complete_cylinder(parts)
+        with pytest.raises(ValueError, match="not all positive integers"):
+            cylinder_spectrum(parts)
+    assert calls == []
+
+
 def test_complete3_spectrum_n3():
     spec = complete3_spectrum(3)
     phi = single_edge_charpoly(3)

@@ -9,12 +9,14 @@ from hypergraph_spectra import repro
 from hypergraph_spectra.hypergraphs import (
     Hypergraph,
     complete,
+    complete_cylinder,
     disjoint_union,
     single_edge,
     ultracube,
 )
 from hypergraph_spectra.macaulay import _charpoly_direct, charpoly
 from hypergraph_spectra.polynomials import UniPoly
+from hypergraph_spectra.spectral import single_edge_charpoly
 from hypergraph_spectra.traces import (
     coefficients_via_traces,
     count_closed_arrangements,
@@ -140,6 +142,8 @@ def test_coefficients_via_traces_matches_codegree_closed_forms():
     simplex_coeff = 21 * (k - 1) ** (n - k) * count_simplices(h)
     assert coeffs[4] == -simplex_coeff
     assert coeffs[4] == -42
+    # the default depth is k+1
+    assert coefficients_via_traces(h) == coeffs
 
 
 def test_ultracube_3_2_traces_side_with_the_computed_phi():
@@ -161,11 +165,17 @@ def test_ultracube_3_2_traces_side_with_the_computed_phi():
 
 
 def test_coefficients_beyond_default_depth():
-    # the requested codegree is the only depth limit
-    h = single_edge(3)
-    got = coefficients_via_traces(h, 6)
-    phi = charpoly(h).phi
-    assert got == [phi.coeff_at_codegree(c) for c in range(7)]
+    # the requested codegree is the only depth limit.  A 4-edge is checked
+    # to codegree 8 against its closed form (the property test stops at
+    # order 4); each vertex of complete_cylinder([2,2,2]) has four 2-sets in
+    # its link, and two multisets of them, such as {24, 35} and {25, 34} at
+    # vertex 0, give the same arcs
+    cyl = complete_cylinder([2, 2, 2])
+    for h, depth, phi in ((single_edge(3), 6, charpoly(single_edge(3)).phi),
+                          (single_edge(4), 8, single_edge_charpoly(4)),
+                          (cyl, 6, charpoly(cyl).phi)):
+        got = coefficients_via_traces(h, depth)
+        assert got == [phi.coeff_at_codegree(c) for c in range(depth + 1)]
 
 
 def test_coefficients_reject_negative_codegree():
