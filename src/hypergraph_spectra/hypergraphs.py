@@ -11,6 +11,8 @@ import bisect
 import itertools
 from fractions import Fraction
 
+import numpy as np
+
 from .errors import EdgeListFormatError
 
 __all__ = [
@@ -37,10 +39,11 @@ class Hypergraph:
     ``edges`` is the sorted tuple of edges.  ``incidence[v]`` is the
     ascending tuple of indices into ``edges`` of the edges through v; it is
     built once here, and every routine that walks the edges at a vertex
-    reads it.
+    reads it.  ``edge_array`` is ``edges`` as a read-only (m, k) np.intp
+    array, built once here too, which the numeric routines read.
     """
 
-    __slots__ = ("n", "k", "edges", "incidence")
+    __slots__ = ("n", "k", "edges", "incidence", "edge_array")
 
     def __init__(self, n: int, k: int, edges=()):
         if n < 1:
@@ -67,6 +70,9 @@ class Hypergraph:
             for v in e:
                 incidence[v].append(idx)
         self.incidence = tuple(map(tuple, incidence))
+        self.edge_array = np.fromiter(itertools.chain.from_iterable(
+            self.edges), np.intp, k * len(self.edges)).reshape(-1, k)
+        self.edge_array.flags.writeable = False
 
     # -- basic inspection ----------------------------------------------------
 
@@ -108,6 +114,7 @@ class Hypergraph:
         returned as itself, not copied.
         """
         seen = [False] * self.n
+        walked = [False] * len(self.edges)  # each edge expanded once
         out = []
         for start in range(self.n):
             if seen[start]:
@@ -119,10 +126,12 @@ class Hypergraph:
                 v = stack.pop()
                 verts.append(v)
                 for idx in self.incidence[v]:
-                    for u in self.edges[idx]:
-                        if not seen[u]:
-                            seen[u] = True
-                            stack.append(u)
+                    if not walked[idx]:
+                        walked[idx] = True
+                        for u in self.edges[idx]:
+                            if not seen[u]:
+                                seen[u] = True
+                                stack.append(u)
             if len(verts) == self.n:
                 return [(self, tuple(range(self.n)))]
             verts.sort()

@@ -4,7 +4,8 @@ coloring, and closed-form spectra for structured families.
 Eigenpairs use the link form of the eigenvalue equations: at vertex j,
 sum over edges through j of the product of the other k-1 entries equals
 lambda * x_j^(k-1).  lambda_max and verify_eigenpair evaluate those link
-sums over edge arrays: one row per (edge, position) pair, in edge order,
+sums over edge arrays gathered from Hypergraph.edge_array, which each
+hypergraph builds once: one row per (edge, position) pair, in edge order,
 holding the vertex and the edge's other k-1 vertices.  One gather and
 product per column and one np.bincount over the rows give every vertex's
 sum, added in edge order like a loop over its links, so the floats are the
@@ -13,7 +14,8 @@ vertices up; below, Python floats are as fast and keep the bits numpy's **
 would move.  lambda_max shifts its NQZ step by Delta/(2(k-1)), Delta the
 largest degree: the smallest shift that provably damps the step map's
 negative eigenvalues without knowing lambda_max, about half the steps of a
-shift by Delta.  greedy_color takes its smallest-last order from a heap.
+shift by Delta.  greedy_color takes its smallest-last order from a heap
+and checks its coloring on edge_array.
 """
 
 from __future__ import annotations
@@ -75,14 +77,14 @@ _ARRAY_MIN_N = 18
 def _edge_arrays(h: Hypergraph):
     """(verts, others): the (edge, position) pairs of h as index arrays.
 
-    Row r = idx * k + p stands for vertex verts[r] = edges[idx][p], and
+    verts is a view of h.edge_array; others is gathered from it.  Row
+    r = idx * k + p stands for vertex verts[r] = edges[idx][p], and
     others[r] holds that edge's other k-1 vertices in ascending order, so the
     rows of one vertex come in its ascending incidence order.
     """
     k = h.k
-    edges = np.array(h.edges, dtype=np.intp).reshape(-1, k)
     drop = [[c for c in range(k) if c != p] for p in range(k)]
-    return edges.ravel(), edges[:, drop].reshape(-1, k - 1)
+    return h.edge_array.ravel(), h.edge_array[:, drop].reshape(-1, k - 1)
 
 
 def _link_sums(arrays, x, n: int) -> list:
@@ -307,12 +309,13 @@ class ColoringReport:
     """Greedy weak coloring along a smallest-last elimination order.
 
     The order removes, at each step, the vertex of least degree among the
-    edges still alive, the smaller label on ties.  A heap of (degree,
-    vertex) entries picks it: each degree drop pushes a new entry, which
-    sorts before the vertex's stale ones, so the first entry popped for a
-    vertex is current and later ones are skipped as removed.  colors maps
-    each vertex to a positive integer; no edge ends up with all vertices the
-    same color; count <= degeneracy + 1.
+    edges still alive, the smaller label on ties.  A heap of integer keys
+    degree * n + vertex, ordered as the (degree, vertex) pairs are, picks
+    it: each degree drop pushes a new key, which sorts before the vertex's
+    stale ones, so the first key popped for a vertex is current and later
+    ones are skipped as removed.  colors maps each vertex to a positive
+    integer; no edge ends up with all vertices the same color;
+    count <= degeneracy + 1.
     """
 
     colors: dict
@@ -325,42 +328,44 @@ def greedy_color(h: Hypergraph) -> ColoringReport:
     n = h.n
     incidence = h.incidence
     removed = [False] * n
-    closer = [-1] * len(h.edges)  # each edge's first vertex in the order
+    alive = [True] * len(h.edges)
+    closes = [[] for _ in range(n)]  # the edges v is first in the order on
     degree = [len(idxs) for idxs in incidence]
-    heap = [(d, v) for v, d in enumerate(degree)]
+    heap = [d * n + v for v, d in enumerate(degree)]
     heapq.heapify(heap)
     order = []
     degeneracy = 0
     for _ in range(n):
-        d, v = heapq.heappop(heap)
+        d, v = divmod(heapq.heappop(heap), n)
         while removed[v]:
-            d, v = heapq.heappop(heap)
+            d, v = divmod(heapq.heappop(heap), n)
         degeneracy = max(degeneracy, d)
         order.append(v)
         removed[v] = True
         for idx in incidence[v]:
-            if closer[idx] < 0:
-                closer[idx] = v
+            if alive[idx]:
+                alive[idx] = False
+                closes[v].append(idx)
                 for u in h.edges[idx]:
                     if not removed[u]:
                         degree[u] -= 1
-                        heapq.heappush(heap, (degree[u], u))
+                        heapq.heappush(heap, degree[u] * n + u)
     colors: dict = {}
     for v in reversed(order):
         forbidden = set()
-        for idx in incidence[v]:
-            if closer[idx] == v:  # the edge's other vertices are colored
-                cs = {colors[u] for u in h.edges[idx] if u != v}
-                if len(cs) == 1:
-                    forbidden.add(cs.pop())
+        for idx in closes[v]:  # the edge's other vertices are colored
+            cs = {colors[u] for u in h.edges[idx] if u != v}
+            if len(cs) == 1:
+                forbidden.add(cs.pop())
         c = 1
         while c in forbidden:
             c += 1
         colors[v] = c
-    for e in h.edges:
-        if len({colors[v] for v in e}) == 1:
-            raise ArithmeticError(
-                f"greedy coloring left edge {e} monochromatic")
+    palette = np.fromiter(map(colors.get, range(n)), np.intp, n)
+    mono = np.ptp(palette[h.edge_array], axis=1) == 0
+    if mono.any():
+        raise ArithmeticError(f"greedy coloring left edge "
+                              f"{h.edges[mono.argmax()]} monochromatic")
     return ColoringReport(colors=colors, count=max(colors.values()),
                           order=tuple(order), degeneracy=degeneracy)
 

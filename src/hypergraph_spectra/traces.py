@@ -104,11 +104,12 @@ def count_closed_arrangements(arcs) -> int:
     return out
 
 
-def _arc_choices(v: int, link, dv: int, split) -> list:
-    """[(arcs v -> u as sorted (arc, multiplicity) pairs, weight)]: v's
-    multisets of dv link edges inside the split's support, weighted by
-    dv!/prod m_i!, with the weights of those giving the same arcs summed."""
-    usable = [rest for rest in link if split.keys() >= set(rest)]
+def _arc_choices(v: int, link, dv: int, place) -> list:
+    """[(arcs v -> u as sorted (arc, multiplicity) pairs, weight, indeg)]:
+    v's multisets of dv link edges inside the split's support (place's
+    keys), weighted by dv!/prod m_i!, with the weights of those giving the
+    same arcs summed; indeg sums place[u] over the arcs' heads u."""
+    usable = [rest for rest in link if place.keys() >= set(rest)]
     if not usable:
         return []
     merged: dict = {}
@@ -122,7 +123,8 @@ def _arc_choices(v: int, link, dv: int, split) -> list:
                     arcs[(v, u)] = arcs.get((v, u), 0) + m
         key = tuple(sorted(arcs.items()))
         merged[key] = merged.get(key, 0) + weight
-    return list(merged.items())
+    return [(arcs, weight, sum(m * place[u] for (_, u), m in arcs))
+            for arcs, weight in merged.items()]
 
 
 def generalized_trace(h: Hypergraph, d: int) -> int:
@@ -150,11 +152,17 @@ def generalized_trace(h: Hypergraph, d: int) -> int:
         denom = 1
         for dv in split.values():
             denom *= math.factorial(dv * (k - 1))
+        # in base d(k-1)+1 the in-degrees add digit by digit, none above
+        # d(k-1); only a balanced product, d_v(k-1) in at each v, can close
+        place = {v: (d * (k - 1) + 1) ** i for i, v in enumerate(split)}
+        balanced = sum(dv * (k - 1) * place[v] for v, dv in split.items())
         # the vertices' arcs are disjoint, having distinct tails
         contrib = 0
-        for choice in itertools.product(*(_arc_choices(v, links[v], dv, split)
+        for choice in itertools.product(*(_arc_choices(v, links[v], dv, place)
                                           for v, dv in split.items())):
-            arcs, weights = zip(*choice)
+            arcs, weights, indegs = zip(*choice)
+            if sum(indegs) != balanced:
+                continue
             contrib += math.prod(weights) * count_closed_arrangements(
                 dict(itertools.chain.from_iterable(arcs)))
         if contrib:

@@ -18,6 +18,7 @@ from hypergraph_spectra.hypergraphs import (
     to_edge_list,
     ultracube,
 )
+from hypergraph_spectra.spectral import _edge_arrays
 
 
 def test_construction_canonicalizes():
@@ -150,6 +151,25 @@ def test_components_and_union():
     (c1, v1), (c2, v2) = comps
     assert v1 == (0, 1, 2) and c1 == g
     assert v2 == (3, 4, 5, 6) and c2 == h
+
+
+def test_edge_array_contract():
+    u = disjoint_union(complete(4, 3), single_edge(3))
+    for h in (u, complete(5, 4), Hypergraph(4, 3), Hypergraph(6, 2)):
+        a = h.edge_array
+        assert a.shape == (h.num_edges, h.k) and a.dtype == np.intp
+        assert list(map(tuple, a.tolist())) == list(h.edges)
+        with pytest.raises(ValueError, match="read-only"):
+            a[...] = 0
+    assert np.shares_memory(_edge_arrays(u)[0], u.edge_array)
+    # each component builds its own array, on its own vertex labels
+    comps = [sub for sub, _ in u.components()]
+    assert [sub.edge_array.tolist() for sub in comps] == [
+        [[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]], [[0, 1, 2]]]
+    for i, sub in enumerate(comps):
+        assert not np.shares_memory(sub.edge_array, u.edge_array)
+        assert not any(np.shares_memory(sub.edge_array, other.edge_array)
+                       for other in comps[i + 1:])
 
 
 def test_isolated_vertex_component():

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hypergraph_spectra import macaulay
-from hypergraph_spectra.hypergraphs import Hypergraph
+from hypergraph_spectra.hypergraphs import Hypergraph, complete
 from hypergraph_spectra.macaulay import (
     build_macaulay,
     charpoly,
@@ -110,6 +110,43 @@ def graphs_with_isolated_vertices(draw, max_n):
     pool = list(itertools.combinations(range(active), k))
     edges = draw(st.lists(st.sampled_from(pool), unique=True, max_size=40))
     return Hypergraph(n, k, edges).relabel(draw(st.permutations(range(n))))
+
+
+def _union_find_components(h):
+    """components() by union-find: the components in order of their
+    smallest vertex, each relabelled in ascending vertex order."""
+    root = list(range(h.n))
+
+    def find(v):
+        while root[v] != v:
+            v = root[v]
+        return v
+
+    for e in h.edges:
+        for u in e[1:]:
+            root[find(u)] = find(e[0])
+    groups = {}
+    for v in range(h.n):
+        groups.setdefault(find(v), []).append(v)
+    out = []
+    for verts in groups.values():
+        pos = {v: i for i, v in enumerate(verts)}
+        edges = [tuple(pos[u] for u in e) for e in h.edges if e[0] in pos]
+        out.append((Hypergraph(len(verts), h.k, edges), tuple(verts)))
+    return out
+
+
+@settings(max_examples=100, deadline=None)
+@given(graphs_with_isolated_vertices({2: 12, 3: 12, 4: 12}))
+@example(complete(5, 3))
+def test_components_match_union_find(h):
+    comps = h.components()
+    ref = _union_find_components(h)
+    assert comps == ref
+    assert [sub.edge_array.tolist() for sub, _ in comps] == [
+        sub.edge_array.tolist() for sub, _ in ref]
+    if len(ref) == 1:
+        assert comps[0][0] is h
 
 
 @settings(max_examples=100, deadline=None)
