@@ -62,6 +62,14 @@ class UniPoly:
     def one(cls) -> "UniPoly":
         return cls({0: 1})
 
+    @staticmethod
+    def _of(c: dict) -> "UniPoly":
+        """The polynomial of a map of ints with no zero coefficient, which
+        this class's own results are, unchecked."""
+        out = UniPoly.__new__(UniPoly)
+        out._c = c
+        return out
+
     # -- inspection --------------------------------------------------------
 
     @property
@@ -118,16 +126,12 @@ class UniPoly:
                 c[d] = nv
             elif d in c:
                 del c[d]
-        out = UniPoly.__new__(UniPoly)
-        out._c = c
-        return out
+        return UniPoly._of(c)
 
     __radd__ = __add__
 
     def __neg__(self):
-        out = UniPoly.__new__(UniPoly)
-        out._c = {d: -v for d, v in self._c.items()}
-        return out
+        return UniPoly._of({d: -v for d, v in self._c.items()})
 
     def __sub__(self, other):
         if isinstance(other, int):
@@ -143,9 +147,7 @@ class UniPoly:
         if isinstance(other, int):
             if other == 0:
                 return UniPoly()
-            out = UniPoly.__new__(UniPoly)
-            out._c = {d: v * other for d, v in self._c.items()}
-            return out
+            return UniPoly._of({d: v * other for d, v in self._c.items()})
         if not isinstance(other, UniPoly):
             return NotImplemented
         a, b = self._c, other._c
@@ -160,9 +162,7 @@ class UniPoly:
                     c[d] = nv
                 elif d in c:
                     del c[d]
-        out = UniPoly.__new__(UniPoly)
-        out._c = c
-        return out
+        return UniPoly._of(c)
 
     __rmul__ = __mul__
 
@@ -184,12 +184,10 @@ class UniPoly:
         """Multiply by L^s."""
         if s < 0:
             raise ValueError("negative shift")
-        out = UniPoly.__new__(UniPoly)
-        out._c = {d + s: v for d, v in self._c.items()}
-        return out
+        return UniPoly._of({d + s: v for d, v in self._c.items()})
 
     def derivative(self) -> "UniPoly":
-        return UniPoly({d - 1: d * v for d, v in self._c.items() if d > 0})
+        return UniPoly._of({d - 1: d * v for d, v in self._c.items() if d > 0})
 
     def divide(self, divisor: "UniPoly"):
         """Exact euclidean division, returning (quotient, remainder).
@@ -220,7 +218,7 @@ class UniPoly:
                     rem[nd] = nv
                 elif nd in rem:
                     del rem[nd]
-        return UniPoly(quot), UniPoly(rem)
+        return UniPoly._of(quot), UniPoly._of(rem)
 
     def primitive(self):
         """Return (content-and-sign-free part, unit*content) with positive lead."""
@@ -229,8 +227,7 @@ class UniPoly:
         c = self.content()
         if self.leading_coefficient < 0:
             c = -c
-        out = UniPoly({d: v // c for d, v in self._c.items()})
-        return out, c
+        return UniPoly._of({d: v // c for d, v in self._c.items()}), c
 
     # -- formatting --------------------------------------------------------
 

@@ -3,19 +3,21 @@ coloring, and closed-form spectra for structured families.
 
 Eigenpairs use the link form of the eigenvalue equations: at vertex j,
 sum over edges through j of the product of the other k-1 entries equals
-lambda * x_j^(k-1).  lambda_max and verify_eigenpair evaluate those link
-sums over edge arrays gathered from Hypergraph.edge_array, which each
-hypergraph builds once: one row per (edge, position) pair, in edge order,
-holding the vertex and the edge's other k-1 vertices.  One gather and
-product per column and one np.bincount over the rows give every vertex's
-sum, added in edge order like a loop over its links, so the floats are the
-loop's.  The rest of a lambda_max step is array work from _ARRAY_MIN_N
-vertices up; below, Python floats are as fast and keep the bits numpy's **
-would move.  lambda_max shifts its NQZ step by Delta/(2(k-1)), Delta the
-largest degree: the smallest shift that provably damps the step map's
-negative eigenvalues without knowing lambda_max, about half the steps of a
-shift by Delta.  greedy_color takes its smallest-last order from a heap
-and checks its coloring on edge_array.
+lambda * x_j^(k-1).  One kernel evaluates those link sums for lambda_max
+and verify_eigenpair, over edge arrays gathered from Hypergraph.edge_array,
+which each hypergraph builds once: one row per (edge, position) pair, in
+edge order, holding the vertex and the edge's other k-1 vertices.  One
+gather and product per column and one np.bincount over the rows give every
+vertex's sum, added in edge order like a loop over its links, so the floats
+are the loop's, float64 for a real vector and complex128 for a complex one;
+verify_eigenpair's residual is array work of the same kind.  The rest of a
+lambda_max step is array work from _ARRAY_MIN_N vertices up; below, Python
+floats are as fast and keep the bits numpy's ** would move.  lambda_max
+shifts its NQZ step by Delta/(2(k-1)), Delta the largest degree: the
+smallest shift that provably damps the step map's negative eigenvalues
+without knowing lambda_max, about half the steps of a shift by Delta.
+greedy_color takes its smallest-last order from a heap and checks its
+coloring on edge_array.
 """
 
 from __future__ import annotations
@@ -87,8 +89,9 @@ def _edge_arrays(h: Hypergraph):
     return h.edge_array.ravel(), h.edge_array[:, drop].reshape(-1, k - 1)
 
 
-def _link_sums(arrays, x, n: int) -> list:
-    """For each vertex, the sum over its link of the product of x's entries.
+def _link_sums(arrays, x, n: int):
+    """For each vertex, the sum over its link of the product of x's entries:
+    a float64 array for a real x, a complex128 array for a complex one.
 
     The products are gathered column by column, left to right, and
     np.bincount adds each vertex's terms in edge order starting from 0.0,
@@ -99,7 +102,11 @@ def _link_sums(arrays, x, n: int) -> list:
     verts, others = arrays
     xa = np.asarray(x)
     if not np.iscomplexobj(xa):
-        return _real_link_sums(arrays, xa, n).tolist()
+        prod = xa[others[:, 0]]
+        for c in range(1, others.shape[1]):
+            prod = prod * xa[others[:, c]]
+        # bincount of no terms is int zeros
+        return np.bincount(verts, prod, n).astype(float, copy=False)
     xr, xi = xa.real, xa.imag
     re, im = 1.0, 0.0
     for c in range(others.shape[1]):
@@ -107,53 +114,48 @@ def _link_sums(arrays, x, n: int) -> list:
         re, im = re * br - im * bi, re * bi + im * br
     sums = np.bincount(verts, re, n).astype(complex)
     sums.imag = np.bincount(verts, im, n)
-    return sums.tolist()
+    return sums
 
 
-def _real_link_sums(arrays, xa, n: int):
-    """_link_sums of a real array xa, as a float64 array."""
-    verts, others = arrays
-    prod = xa[others[:, 0]]
-    for c in range(1, others.shape[1]):
-        prod = prod * xa[others[:, c]]
-    # bincount of no terms is int zeros
-    return np.bincount(verts, prod, n).astype(float, copy=False)
+def _as_double(v):
+    """v as a float64 array if it is real, else as a complex128 array; numpy
+    holds integers past 64 bits as objects, whose range complex() checks."""
+    a = np.asarray(v)
+    try:
+        return a.astype(complex if a.dtype.kind in "cO" else float)
+    except OverflowError:
+        raise ValueError("eigenpair entry outside double precision") from None
 
 
 def verify_eigenpair(h: Hypergraph, lam, x) -> float:
     """Max residual of the eigenvalue equations, scaled by the vector size.
 
     Returns max_j |sum over links(j) of x^e - lam * x_j^(k-1)|, divided by
-    max(1, max_i |x_i|^(k-1)); a non-finite value or entry, or one whose
-    terms overflow double precision, is a ValueError.
+    max(1, max_i |x_i|^(k-1)), on float64 arrays and the real link-sum
+    kernel for a real x, on complex128 arrays otherwise.  A vector not of
+    shape (n,), a value or entry non-finite or outside double precision,
+    or one whose terms overflow it, is a ValueError.
     """
     return _eigen_residual(h, _edge_arrays(h), lam, x)
 
 
 def _eigen_residual(h: Hypergraph, arrays, lam, x) -> float:
     """verify_eigenpair with h's edge arrays given."""
-    vec = [complex(v) for v in x]
-    if len(vec) != h.n:
-        raise ValueError(f"vector has {len(vec)} entries for n={h.n}")
-    if all(v == 0 for v in vec):
+    xa, lam = _as_double(x), _as_double(lam)
+    if xa.shape != (h.n,) or lam.shape:
+        raise ValueError(f"vector of shape {xa.shape} and value of shape "
+                         f"{lam.shape} for n={h.n}")
+    if not xa.any():
         raise ValueError("zero vector is not an eigenvector")
-    lam = complex(lam)
-    if not all(map(cmath.isfinite, vec + [lam])):
+    if not (np.isfinite(xa).all() and np.isfinite(lam)):
         raise ValueError("eigenpair has a non-finite value or entry")
-    k = h.k
-    # an entry's (k-1)-th power overflows as OverflowError in Python and as
-    # inf or NaN in numpy; max() would skip a NaN term, so both are refused
-    overflow = ValueError("eigenpair overflows double precision")
-    try:
-        norm = max(abs(v) for v in vec) ** (k - 1)
-        with np.errstate(over="ignore", invalid="ignore"):
-            sums = _link_sums(arrays, vec, h.n)
-        terms = [abs(s - lam * v ** (k - 1)) for s, v in zip(sums, vec)]
-    except OverflowError:
-        raise overflow from None
-    if not all(map(math.isfinite, terms)):
-        raise overflow
-    return max(0.0, *terms) / max(1.0, norm)
+    with np.errstate(over="ignore", invalid="ignore"):
+        norm = np.abs(xa).max() ** (h.k - 1)
+        terms = np.abs(_link_sums(arrays, xa, h.n) - lam * xa ** (h.k - 1))
+        top = terms.max()  # NaN if any term is, unlike Python's max
+    if not (np.isfinite(norm) and np.isfinite(top)):
+        raise ValueError("eigenpair overflows double precision")
+    return float(top / max(1.0, norm))
 
 
 @dataclass
@@ -225,13 +227,13 @@ def _lambda_max_connected(h: Hypergraph, arrays, tol: float, max_iter: int):
     while iterations < max_iter:
         iterations += 1
         if on_arrays:
-            ax = _real_link_sums(arrays, x, n)
+            ax = _link_sums(arrays, x, n)
             powers = x ** (k - 1)
             ratios = ax / powers
             lower = max(lower, float(ratios.min()))
             upper = min(upper, float(ratios.max()))
         else:
-            ax = _link_sums(arrays, x, n)
+            ax = _link_sums(arrays, x, n).tolist()
             powers = [v ** (k - 1) for v in x]
             ratios = [a / p for a, p in zip(ax, powers)]
             lower = max(lower, min(ratios))

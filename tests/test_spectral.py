@@ -3,6 +3,7 @@ import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 
 from hypergraph_spectra import spectral
@@ -60,6 +61,16 @@ def test_verify_eigenpair_rejects_non_finite_input():
                    (3, [1, inf, 1, 1]), (3, [1, 1, 1, complex(1, nan)])):
         with pytest.raises(ValueError, match="non-finite"):
             verify_eigenpair(h, lam, x)
+    # integers past the double range, as an entry or as the value
+    for lam, x in ((3, [10 ** 400, 1, 1, 1]), (10 ** 400, [1] * 4),
+                   (3, [1j, 1, 1, 10 ** 400])):
+        with pytest.raises(ValueError, match="outside double precision"):
+            verify_eigenpair(h, lam, x)
+    # n entries, but not one-dimensional; a value that is not a number
+    with pytest.raises(ValueError, match=r"shape \(4, 1\)"):
+        verify_eigenpair(h, 3, [[1], [1], [1], [1]])
+    with pytest.raises(ValueError, match=r"value of shape \(4,\)"):
+        verify_eigenpair(h, [3] * 4, [1] * 4)
     assert verify_eigenpair(h, 3, [1, 1, 1, 1]) == 0.0
 
 
@@ -193,22 +204,22 @@ def test_lambda_max_array_step_agrees_with_the_float_loop(monkeypatch):
 
 
 def test_lambda_max_takes_the_float_loop_below_the_array_size(monkeypatch):
-    calls = []
+    kinds = []
     real = spectral._link_sums
 
-    def counted(arrays, x, n):
-        calls.append(n)
+    def recorded(arrays, x, n):
+        kinds.append(type(x))
         return real(arrays, x, n)
 
-    monkeypatch.setattr(spectral, "_link_sums", counted)
+    monkeypatch.setattr(spectral, "_link_sums", recorded)
     cut = spectral._ARRAY_MIN_N
     rng = random.Random(43)
     small = lambda_max(_random_connected(rng, cut - 1, 3))
-    # one call per step, then one for the residual
-    assert calls == [cut - 1] * (small.iterations + 1)
-    calls.clear()
-    lambda_max(_random_connected(rng, cut, 3))
-    assert calls == [cut]
+    # a list on every step, then the residual's array
+    assert kinds == [list] * small.iterations + [np.ndarray]
+    kinds.clear()
+    large = lambda_max(_random_connected(rng, cut, 3))
+    assert kinds == [np.ndarray] * (large.iterations + 1)
 
 
 def test_lambda_max_converges_on_periodic_cylinders():
@@ -287,7 +298,7 @@ def test_link_sums_match_hypermatrix():
         if len(comps) == 1:
             assert comps[0][0] is h and comps[0][1] == tuple(range(n))
         x = [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(n)]
-        sums = _link_sums(_edge_arrays(h), x, n)
+        sums = _link_sums(_edge_arrays(h), x, n).tolist()
         for i in range(n):
             total = 0j
             for t in itertools.product(range(n), repeat=k - 1):
@@ -334,9 +345,58 @@ def test_link_sums_match_the_link_loop_bit_for_bit():
             real = [entry() for _ in range(n)]
             cplx = [complex(entry(), entry()) for _ in range(n)]
             for x in (real, cplx):
-                sums = _link_sums(arrays, x, n)
+                sums = _link_sums(arrays, x, n).tolist()
                 assert type(sums[0]) is type(x[0])
                 assert repr(sums) == repr(_link_loop(h, x))
+
+
+def test_verify_eigenpair_real_kernel_matches_the_complex_one():
+    # a real eigenpair runs in float64, its complex form in complex128: the
+    # same products up to k = 3; numpy's float ** rounds x^3 and x^4 once,
+    # complex ** by repeated products, so k = 4 and 5 agree to rounding
+    rng = random.Random(31)
+    specials = [0.0, -0.0, 1.0, -1.0, 0.5]
+    for k in (2, 3, 4, 5):
+        for _ in range(200):
+            n = rng.randint(k, 9)
+            pool = list(itertools.combinations(range(n), k))
+            h = Hypergraph(n, k, rng.sample(pool, rng.randint(0, len(pool))))
+            x = [rng.choice(specials) if rng.random() < 0.3
+                 else rng.uniform(-2, 2) for _ in range(n)]
+            x[0] = x[0] or 1.0
+            lam = rng.uniform(-3, 3)
+            real = verify_eigenpair(h, lam, x)
+            cplx = verify_eigenpair(h, lam, [complex(v) for v in x])
+            if k <= 3:
+                assert repr(real) == repr(cplx), (k, h.edges, x)
+            else:
+                assert abs(real - cplx) <= 1e-15 * real, (k, h.edges, x)
+
+
+def test_verify_eigenpair_takes_any_vector_kind(monkeypatch):
+    # small integers: every product is exact, so each kind gives the bits;
+    # a real kind reaches the kernel as float64, a complex one as complex128
+    dtypes = []
+    real = spectral._link_sums
+
+    def recorded(arrays, x, n):
+        dtypes.append(x.dtype)
+        return real(arrays, x, n)
+
+    monkeypatch.setattr(spectral, "_link_sums", recorded)
+    rng = random.Random(37)
+    for k in (3, 4):
+        h = _random_connected(rng, 9, k)
+        x = [rng.randint(-3, 3) for _ in range(h.n)]
+        x[0] = 2
+        want = verify_eigenpair(h, 5, x)
+        assert want > 0
+        for vec in (tuple(x), np.array(x, dtype=float), np.array(x),
+                    np.array(x, dtype=complex)):
+            got = verify_eigenpair(h, 5, vec)
+            assert type(got) is float and got == want, (k, type(vec))
+    assert dtypes == [np.float64] * 4 + [np.complex128] + [np.float64] * 4 \
+        + [np.complex128]
 
 
 def test_degree_bounds_examples():
