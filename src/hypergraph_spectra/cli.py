@@ -282,6 +282,8 @@ def _cmd_verify(ns) -> int:
     h = _load(ns)
     lam = _parse_complex(ns.value)
     vec = [_parse_complex(t) for t in ns.vector.split(",")]
+    if not (lam.imag or any(z.imag for z in vec)):
+        lam, vec = lam.real, [z.real for z in vec]
     residual = verify_eigenpair(h, lam, vec)
     ok = residual <= ns.tol
     if ns.format == "json":

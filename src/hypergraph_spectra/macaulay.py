@@ -6,7 +6,10 @@ has some coordinate >= k-1, so each monomial row can be assigned to the
 first such coordinate and filled with the corresponding form.  The matrix is
 lambda*I - N for a 0/1 integer matrix N, the quotient by the minor on rows
 whose monomial has two or more coordinates >= k-1 is exact, and the result
-is the monic characteristic polynomial of degree n(k-1)^(n-1).
+is the monic characteristic polynomial of degree n(k-1)^(n-1), for any
+order of the coordinates (Cox, Little and O'Shea, ch. 3 sec. 4).  "First"
+is in ascending vertex degree: the first vertex takes the most rows, so N
+gets the fewest ones and irregular inputs much smaller blocks.
 
 N is never built densely.  Ordered by the strongly connected components of
 its digraph (Tarjan 1972; Duff and Reid 1978), N is block upper triangular,
@@ -56,8 +59,8 @@ __all__ = [
     "predicted_coefficient_bits",
 ]
 
-# The guards' budgets.  A kernel on an s-row block takes about s^3
-# operations, 1.6-1.9e8 a second on one core: 1e12 is about 1.5-1.7 h.
+# The guards' budgets.  A kernel on an s-row block takes at most about s^3
+# operations, 1.6-1.9e8 a second on one core: 1e12 is at most 1.5-1.7 h.
 _MAX_BYTES = 1 << 30
 _MAX_KERNEL_OPS = 10 ** 12
 
@@ -66,9 +69,9 @@ _MAX_KERNEL_OPS = 10 ** 12
 class MacaulayMatrix:
     """The matrix lambda*I - N, stored through N's 0/1 sparsity.
 
-    rows[r] lists the column indices of the ones in row r of N; reduced[r]
-    marks monomials with exactly one coordinate >= k-1 (the rows removed to
-    form the minor).
+    rows[r] lists the column indices of the ones in row r of N (see
+    build_macaulay); reduced[r] marks monomials with exactly one coordinate
+    >= k-1 (the rows removed to form the minor).
     """
 
     n: int
@@ -94,8 +97,10 @@ class MacaulayMatrix:
 def build_macaulay(h: Hypergraph) -> MacaulayMatrix:
     """Assemble the Macaulay matrix of a hypergraph's eigenvalue system.
 
-    GuardError refuses, before any monomial is enumerated, a build and
-    split predicted to take more than _MAX_BYTES.
+    Vertices are taken in ascending degree, ties by label: h relabelled in
+    that order has this matrix, permuted.  GuardError refuses, before any
+    monomial is enumerated, a build and split predicted to take more than
+    _MAX_BYTES.
     """
     n, k = h.n, h.k
     big_d = n * (k - 1) - n + 1
@@ -115,10 +120,11 @@ def build_macaulay(h: Hypergraph) -> MacaulayMatrix:
             f"enumerated {len(monomials)} monomials, expected {size}")
     index = {m: i for i, m in enumerate(monomials)}
     links = [h.link(v) for v in range(n)]
+    order = sorted(range(n), key=lambda v: (len(h.incidence[v]), v))
     rows = []
     reduced = []
     for alpha in monomials:
-        cls = next(i for i, a in enumerate(alpha) if a >= k - 1)
+        cls = next(i for i in order if alpha[i] >= k - 1)
         reduced.append(sum(1 for a in alpha if a >= k - 1) == 1)
         cols = []
         base = list(alpha)
@@ -334,24 +340,27 @@ def _charpoly_mod_prime(mat: np.ndarray, p: int) -> np.ndarray:
     """Characteristic polynomial coefficients of mat modulo p, ascending.
 
     Similarity reduction to Hessenberg form, then the leading-minor
-    recurrence.  All arithmetic stays below 2^63 for a table prime p on
-    fewer than 2^13 rows (see _PRIMES).
+    recurrence; a step touches only the rows and columns whose multiplier
+    is nonzero, and the recurrence sums from the last zero subdiagonal on.
+    All arithmetic stays below 2^63 for a table prime p on fewer than 2^13
+    rows (see _PRIMES).
     """
     n = mat.shape[0]
     h = mat % p
     for c in range(n - 2):
-        sub = h[c + 1:, c]
-        nz = np.nonzero(sub)[0]
+        nz = np.nonzero(h[c + 1:, c])[0] + (c + 1)
         if nz.size == 0:
             continue
-        piv = int(nz[0]) + c + 1
+        piv, rows = int(nz[0]), nz[1:]
         if piv != c + 1:
-            h[[c + 1, piv], :] = h[[piv, c + 1], :]
-            h[:, [c + 1, piv]] = h[:, [piv, c + 1]]
+            h[c + 1], h[piv] = h[piv].copy(), h[c + 1].copy()
+            h[:, c + 1], h[:, piv] = h[:, piv].copy(), h[:, c + 1].copy()
+        if rows.size == 0:
+            continue
         inv = pow(int(h[c + 1, c]), p - 2, p)
-        mult = (h[c + 2:, c] * inv) % p
-        h[c + 2:, c:] = (h[c + 2:, c:] - mult[:, None] * h[c + 1, c:]) % p
-        h[:, c + 1] = (h[:, c + 1] + h[:, c + 2:] @ mult) % p
+        mult = (h[rows, c] * inv) % p
+        h[rows, c:] = (h[rows, c:] - mult[:, None] * h[c + 1, c:]) % p
+        h[:, c + 1] = (h[:, c + 1] + h[:, rows] @ mult) % p
     q = np.zeros((n + 1, n + 1), dtype=np.int64)
     q[0, 0] = 1
     t = np.zeros(n, dtype=np.int64)  # t[i] = product of subdiagonals i+1..m-1
@@ -359,12 +368,14 @@ def _charpoly_mod_prime(mat: np.ndarray, p: int) -> np.ndarray:
         d = int(h[m - 1, m - 1])
         q[m, 1:m + 1] = q[m - 1, :m]
         q[m, :m] = (q[m, :m] - d * q[m - 1, :m]) % p
-        if m >= 2:
-            s = int(h[m - 1, m - 2])
-            t[:m - 2] = (t[:m - 2] * s) % p
-            t[m - 2] = s
-            cs = (h[:m - 1, m - 1] * t[:m - 1]) % p
-            q[m, :m] = (q[m, :m] - cs @ q[:m - 1, :m]) % p
+        s = int(h[m - 1, m - 2]) if m >= 2 else 0
+        if s == 0:  # every product through it is 0; m = 1 sets start
+            start = m - 1
+            continue
+        t[start:m - 2] = (t[start:m - 2] * s) % p
+        t[m - 2] = s
+        cs = (h[start:m - 1, m - 1] * t[start:m - 1]) % p
+        q[m, :m] = (q[m, :m] - cs @ q[start:m - 1, :m]) % p
     out = q[n]
     if out[n] != 1:
         raise ArithmeticError(f"charpoly mod {p} is not monic")
@@ -427,8 +438,9 @@ class CharPolyResult:
     distinct blocks by how their lift stopped, {"early": .., "bound": ..};
     primes sums the CRT primes folded into their lifts and bound_primes the
     primes their bounds ask for; kernel_calls counts the kernels run,
-    held-out primes included, and kernel_ops sums s^3 over them, against
-    predicted_ops, the guard's s^3 on every bound prime and a held-out one.
+    held-out primes included, and kernel_ops sums s^3, a bound on each
+    kernel's work, against predicted_ops, the guard's s^3 on every bound
+    prime and a held-out one.
     det_full_s and det_reduced_s are the seconds of the lifts of the blocks
     with a positive net exponent (N's) and a negative one (N''s), divide_s
     the exact divisions and the components' powers, and phi_bits the bits

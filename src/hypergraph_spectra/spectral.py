@@ -79,14 +79,15 @@ _ARRAY_MIN_N = 18
 def _edge_arrays(h: Hypergraph):
     """(verts, others): the (edge, position) pairs of h as index arrays.
 
-    verts is a view of h.edge_array; others is gathered from it.  Row
-    r = idx * k + p stands for vertex verts[r] = edges[idx][p], and
-    others[r] holds that edge's other k-1 vertices in ascending order, so the
-    rows of one vertex come in its ascending incidence order.
+    verts is h.edge_array flattened into a writeable copy, which
+    np.bincount takes without copying it again; others is gathered from
+    it.  Row r = idx * k + p stands for vertex verts[r] = edges[idx][p], and
+    others[r] holds that edge's other k-1 vertices in ascending order, so
+    the rows of one vertex come in its ascending incidence order.
     """
     k = h.k
     drop = [[c for c in range(k) if c != p] for p in range(k)]
-    return h.edge_array.ravel(), h.edge_array[:, drop].reshape(-1, k - 1)
+    return h.edge_array.flatten(), h.edge_array[:, drop].reshape(-1, k - 1)
 
 
 def _link_sums(arrays, x, n: int):

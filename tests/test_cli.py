@@ -12,6 +12,7 @@ from hypergraph_spectra.hypergraphs import (
     tetra_minus_face,
     ultracube,
 )
+from hypergraph_spectra.spectral import verify_eigenpair
 
 
 def run(capsys, *args):
@@ -227,6 +228,23 @@ def test_verify_complex_vector(capsys):
                        "--vector", "1,-0.5+0.8660254037844387j,"
                                    "-0.5-0.8660254037844387j")
     assert code == 0
+
+
+def test_verify_checks_a_real_eigenpair_in_real_arithmetic(capsys):
+    # on complete(5,4) this pair's residual in float64 and in complex128
+    # differ in the last bit; the command must give the float64 one
+    h = complete(5, 4)
+    value, vector = 4.314, [1.691, 1.157, 1.32, 0.453, 1.986]
+    real = verify_eigenpair(h, value, vector)
+    assert real != verify_eigenpair(h, complex(value),
+                                    [complex(v) for v in vector])
+    code, out, _ = run(capsys, "verify", "--family", "complete:n=5,k=4",
+                       "--value", str(value),
+                       "--vector", ",".join(map(str, vector)),
+                       "--format", "json")
+    payload = json.loads(out)
+    assert code == 2 and payload["residual"] == real
+    assert payload["value"] == [value, 0.0]
 
 
 def test_family_summary(capsys):

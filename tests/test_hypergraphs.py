@@ -161,7 +161,10 @@ def test_edge_array_contract():
         assert list(map(tuple, a.tolist())) == list(h.edges)
         with pytest.raises(ValueError, match="read-only"):
             a[...] = 0
-    assert np.shares_memory(_edge_arrays(u)[0], u.edge_array)
+    # the link sums' verts: a writeable copy, which np.bincount takes as is
+    verts = _edge_arrays(u)[0]
+    assert verts.flags.writeable and not np.shares_memory(verts, u.edge_array)
+    assert verts.tolist() == u.edge_array.ravel().tolist()
     # each component builds its own array, on its own vertex labels
     comps = [sub for sub, _ in u.components()]
     assert [sub.edge_array.tolist() for sub in comps] == [
