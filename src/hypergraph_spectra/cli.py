@@ -70,8 +70,9 @@ def _family_name_params(spec: str):
     return name, params
 
 
-def parse_family(spec: str, default_k=None) -> Hypergraph:
-    """Build a named family from a spec like ``complete:n=4,k=3``."""
+def _family_recipe(spec: str, default_k=None):
+    """(name, build, args) of a family spec, so that build(*args) builds
+    it: every parameter is parsed and checked, and nothing is built."""
     name, params = _family_name_params(spec)
 
     def one_int(pname, default=None):
@@ -84,28 +85,34 @@ def parse_family(spec: str, default_k=None) -> Hypergraph:
             raise ValueError(f"family parameter {pname} given twice")
         return int(vals[0])
 
-    try:
-        if name == "single-edge":
-            h = single_edge(one_int("k", default_k))
-        elif name == "complete":
-            h = complete(one_int("n"), one_int("k", default_k))
-        elif name == "cylinder":
-            vals = params.pop("parts", None)
-            if not vals:
-                raise ValueError("family 'cylinder' needs parts=")
-            h = complete_cylinder([int(v) for v in vals])
-        elif name == "ultracube":
-            h = ultracube(one_int("k", default_k), one_int("d"))
-        elif name == "tetra-minus-face":
-            h = tetra_minus_face()
-        else:
-            raise ValueError(f"unknown family {name!r}")
-    except TypeError as exc:
-        raise ValueError(f"bad parameters for family {name!r}: {exc}")
+    if name == "single-edge":
+        recipe = single_edge, (one_int("k", default_k),)
+    elif name == "complete":
+        recipe = complete, (one_int("n"), one_int("k", default_k))
+    elif name == "cylinder":
+        vals = params.pop("parts", None)
+        if not vals:
+            raise ValueError("family 'cylinder' needs parts=")
+        recipe = complete_cylinder, ([int(v) for v in vals],)
+    elif name == "ultracube":
+        recipe = ultracube, (one_int("k", default_k), one_int("d"))
+    elif name == "tetra-minus-face":
+        recipe = tetra_minus_face, ()
+    else:
+        raise ValueError(f"unknown family {name!r}")
     if params:
         extra = ", ".join(sorted(params))
         raise ValueError(f"unused family parameters: {extra}")
-    return h
+    return name, *recipe
+
+
+def parse_family(spec: str, default_k=None) -> Hypergraph:
+    """Build a named family from a spec like ``complete:n=4,k=3``."""
+    name, build, args = _family_recipe(spec, default_k)
+    try:
+        return build(*args)
+    except TypeError as exc:
+        raise ValueError(f"bad parameters for family {name!r}: {exc}")
 
 
 def _load(ns) -> Hypergraph:
@@ -209,17 +216,19 @@ def _cmd_traces(ns) -> int:
 def _cmd_spectrum(ns) -> int:
     if not ns.family:
         raise ValueError("spectrum needs --family")
-    name, params = _family_name_params(ns.family)
-    h = parse_family(ns.family, default_k=ns.k)
-    if name == "complete" and h.k == 3:
-        spec = complete3_spectrum(h.n)
-    elif name == "cylinder":
-        spec = cylinder_spectrum([int(v) for v in params["parts"]])
-    elif name == "single-edge":
-        spec = cylinder_spectrum([1] * h.k)
+    name, build, args = _family_recipe(ns.family, ns.k)
+    if name == "cylinder":
+        # its guard runs before the cylinder is built
+        spec = cylinder_spectrum(*args)
     else:
-        raise ValueError(
-            "spectrum supports complete (k=3), cylinder, and single-edge")
+        h = build(*args)
+        if name == "complete" and h.k == 3:
+            spec = complete3_spectrum(h.n)
+        elif name == "single-edge":
+            spec = cylinder_spectrum([1] * h.k)
+        else:
+            raise ValueError(
+                "spectrum supports complete (k=3), cylinder, and single-edge")
     if ns.format == "json":
         _emit_json({
             "family": spec.family,

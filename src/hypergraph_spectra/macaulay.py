@@ -401,23 +401,24 @@ def _lift_block(mat: np.ndarray, bound: int):
     """A block's integer charpoly coefficients, ascending, and how many
     table primes, from the first, were folded into their lift: until it has
     stayed unchanged over two of them, or they cover the bound (the first
-    bound primes); the next prime is held out.  A disagreement at the
-    held-out prime before the bound makes it join the CRT primes, and at
-    the bound (prime bound) raises.  No prime agrees with the zero start:
-    the charpoly is monic.
+    bound primes); the next prime is held out.  A prime agrees when folding
+    it leaves the lift unchanged, every Garner correction zero.  A
+    disagreement at the held-out prime before the bound makes it join the
+    CRT primes, and at the bound (prime bound) raises.  No prime agrees
+    with the zero start: the charpoly is monic.
     """
     lift, modulus, steady = [0] * (len(mat) + 1), 1, 0
     for folded in range(bound + 1):
         p = _prime(folded)
-        residues = _charpoly_mod_prime(mat, p)
-        agrees = not any((c - int(v)) % p for c, v in zip(lift, residues))
+        step = _crt_step(lift, modulus, _charpoly_mod_prime(mat, p), p)
+        agrees = step[0] == lift
         if agrees and (steady == 2 or folded == bound):
             return lift, folded
         if folded == bound:
             raise ArithmeticError(
                 f"a block's charpoly failed verification at the held-out "
                 f"prime {p}")
-        lift, modulus = _crt_step(lift, modulus, residues, p)
+        lift, modulus = step
         steady = steady + 1 if agrees else 0
 
 

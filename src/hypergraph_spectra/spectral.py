@@ -13,11 +13,15 @@ are the loop's, float64 for a real vector and complex128 for a complex one;
 verify_eigenpair's residual is array work of the same kind.  The rest of a
 lambda_max step is array work from _ARRAY_MIN_N vertices up; below, Python
 floats are as fast and keep the bits numpy's ** would move.  lambda_max
-shifts its NQZ step by Delta/(2(k-1)), Delta the largest degree: the
-smallest shift that provably damps the step map's negative eigenvalues
-without knowing lambda_max, about half the steps of a shift by Delta.
-greedy_color takes its smallest-last order from a heap and checks its
-coloring on edge_array.
+runs one NQZ loop, with one exit, on each component with an edge; an
+edgeless component has only the eigenvalue 0 and is never iterated.  The
+step is shifted by Delta/(2(k-1)), Delta the largest degree from
+h.incidence: the smallest shift that provably damps the step map's
+negative eigenvalues without knowing lambda_max, about half the steps of a
+shift by Delta.  greedy_color takes its smallest-last order from a heap
+and checks its coloring on edge_array.  The closed-form spectra check
+their witnesses on one build of the edge arrays; cylinder_spectrum prices
+its phase assignments and their witness checks before building anything.
 """
 
 from __future__ import annotations
@@ -40,7 +44,7 @@ from .hypergraphs import (
     is_subgraph,
     ultracube,
 )
-from .macaulay import _guard_phi
+from .macaulay import _MAX_KERNEL_OPS, _guard_phi
 from .polynomials import UniPoly, enumerate_monomials, numeric_roots
 
 __all__ = [
@@ -197,7 +201,7 @@ def _uniform_unit_vector(n: int, k: int):
 
 def _lambda_max_connected(h: Hypergraph, arrays, tol: float, max_iter: int):
     """(lower, upper, vector, iterations, converged) of the shifted power
-    iteration on a connected input whose edge arrays are given.
+    iteration on a connected input with edges, whose edge arrays are given.
 
     The step is NQZ's (Ng, Qi and Zhou, 2009): x -> (A x^(k-1) + alpha
     x^[k-1])^[1/(k-1)], normalised.  Near the Perron pair (rho, x*) it maps
@@ -209,24 +213,20 @@ def _lambda_max_connected(h: Hypergraph, arrays, tol: float, max_iter: int):
     c/(1+c), and the rate (sigma_2 + c)/(1 + c), sigma_2 < 1 the next
     eigenvalue of S, falls with c.  As the largest degree Delta >= rho,
     alpha = Delta/(2(k-1)) is the smallest shift safe without knowing rho.
-    The Collatz bounds hold for any positive vector.
+    The Collatz bounds hold for any positive vector.  The loop's one exit is
+    the first step whose enclosure is within tol and whose residual at its
+    midpoint is small, or the last of max_iter steps.
 
     From _ARRAY_MIN_N vertices up a step is float64 array work, its sum left
     to right; below, Python floats keep the bits numpy's ** would move."""
     n, k = h.n, h.k
-    x = _uniform_unit_vector(n, k)
-    if h.num_edges == 0:
-        return 0.0, 0.0, x, 0, True
-    shift = float(np.bincount(arrays[0], minlength=n).max()) / (2 * (k - 1))
-    lower = -math.inf
-    upper = math.inf
-    iterations = 0
-    converged = False
+    shift = max(map(len, h.incidence)) / (2 * (k - 1))
+    lower, upper = -math.inf, math.inf
     inv = 1.0 / (k - 1)
     on_arrays = n >= _ARRAY_MIN_N
+    x = _uniform_unit_vector(n, k)
     x = np.array(x) if on_arrays else x
-    while iterations < max_iter:
-        iterations += 1
+    for iterations in range(1, max_iter + 1):
         if on_arrays:
             ax = _link_sums(arrays, x, n)
             powers = x ** (k - 1)
@@ -239,15 +239,13 @@ def _lambda_max_connected(h: Hypergraph, arrays, tol: float, max_iter: int):
             ratios = [a / p for a, p in zip(ax, powers)]
             lower = max(lower, min(ratios))
             upper = min(upper, max(ratios))
-        if upper - lower <= tol:
-            mid = 0.5 * (lower + upper)
-            if on_arrays:
-                residual = float(np.abs(ax - mid * powers).max())
-            else:
-                residual = max(abs(a - mid * p) for a, p in zip(ax, powers))
-            if residual <= max(tol * 1e-2, 1e-13):
-                converged = True
-                break
+        mid = 0.5 * (lower + upper)
+        converged = upper - lower <= tol and (
+            float(np.abs(ax - mid * powers).max()) if on_arrays
+            else max(abs(a - mid * p) for a, p in zip(ax, powers))
+        ) <= max(tol * 1e-2, 1e-13)
+        if converged:
+            break
         if on_arrays:
             y = (ax + shift * powers) ** inv
             x = y / np.cumsum(y ** k)[-1] ** (1.0 / k)
@@ -262,10 +260,13 @@ def lambda_max(h: Hypergraph, tol: float = 1e-8,
                max_iter: int = 100000) -> LambdaMaxReport:
     """Largest eigenvalue via shifted power iteration with certified bounds.
 
-    Each component is iterated on its own, and a connected one yields a
-    strictly positive eigenvector.  The report carries the winning
-    component's vector extended by zeros (still an exact eigenpair of the
-    union) and the summed iteration count.
+    Each component with an edge is iterated on its own and yields a
+    strictly positive eigenvector; an edgeless one has only the eigenvalue
+    0, below any component with an edge, so it is not iterated.  The
+    component with the largest midpoint wins, the first on ties.  The
+    report carries its vector extended by zeros (still an exact eigenpair
+    of the union), the iteration count summed over the components and
+    whether all of them converged.
     """
     if not tol > 0:
         raise ValueError("tolerance must be positive")
@@ -274,26 +275,22 @@ def lambda_max(h: Hypergraph, tol: float = 1e-8,
     if h.num_edges == 0:
         x = _uniform_unit_vector(h.n, h.k)
         return LambdaMaxReport(0.0, tuple(x), 0.0, 0.0, 0, True, 0.0)
-    best = None
-    total_iter = 0
-    all_converged = True
-    for sub, verts in h.components():
-        arrays = _edge_arrays(sub)
-        lower, upper, x, iters, conv = _lambda_max_connected(
-            sub, arrays, tol, int(max_iter))
-        total_iter += iters
-        all_converged = all_converged and conv
-        mid = 0.5 * (lower + upper)
-        if best is None or mid > best[0]:
-            best = mid, lower, upper, x, verts, sub, arrays
-    mid, lower, upper, x, verts, sub, arrays = best
+    parts = [(sub, verts, _edge_arrays(sub))
+             for sub, verts in h.components() if sub.num_edges]
+    lowers, uppers, vectors, iters, convs = zip(*(
+        _lambda_max_connected(sub, arrays, tol, int(max_iter))
+        for sub, _, arrays in parts))
+    best = max(range(len(parts)), key=lambda i: 0.5 * (lowers[i] + uppers[i]))
+    sub, verts, arrays = parts[best]
+    mid = 0.5 * (lowers[best] + uppers[best])
     full = [0.0] * h.n
     for i, v in enumerate(verts):
-        full[v] = x[i]
+        full[v] = vectors[best][i]
     # the residual of full on h: its zeros add exact zeros to every link
     # sum, and sub keeps each vertex's edges in h's order
-    return LambdaMaxReport(mid, tuple(full), lower, upper, total_iter,
-                           all_converged, _eigen_residual(sub, arrays, mid, x))
+    return LambdaMaxReport(mid, tuple(full), lowers[best], uppers[best],
+                           sum(iters), all(convs),
+                           _eigen_residual(sub, arrays, mid, vectors[best]))
 
 
 def degree_bounds_check(h: Hypergraph):
@@ -434,16 +431,19 @@ def _dedup_key(z: complex):
 
 class _Eigenpairs(dict):
     """Verified eigenpairs of h by rounded value; the first one added for a
-    value is kept."""
+    value is kept.  Every witness is checked on one build of h's edge
+    arrays."""
 
     def __init__(self, h: Hypergraph):
         super().__init__()
         self.h = h
+        self.arrays = _edge_arrays(h)
 
     def add(self, value, desc, witness):
         key = _dedup_key(value)
         if key not in self:
-            self[key] = (value, desc, verify_eigenpair(self.h, value, witness),
+            self[key] = (value, desc,
+                         _eigen_residual(self.h, self.arrays, value, witness),
                          tuple(witness))
 
     def spectrum(self, family: str, note: str) -> FamilySpectrum:
@@ -460,18 +460,24 @@ def cylinder_spectrum(part_sizes) -> FamilySpectrum:
     with lambda^k = prod m_i^(k-1) are eigenvalues, realized by the vector
     x_v = phase_v * m_i^(-1/k).  Only the phase counts matter, so parts are
     enumerated by count vectors.  Zero belongs to the spectrum except for a
-    single 2-uniform edge.
+    single 2-uniform edge.  GuardError refuses, before the cylinder is
+    built, more than _MAX_ASSIGNMENTS phase assignments, or witness checks
+    predicted to take more than _MAX_KERNEL_OPS link products: k values an
+    assignment, each verified over the m edges' (k-1)*k link products.
     """
     sizes = _part_sizes(part_sizes)
     k = len(sizes)
     num_phases = k - 1
-    total_assignments = 1
-    for m in sizes:
-        total_assignments *= math.comb(m + num_phases - 1, num_phases - 1)
-    if total_assignments > _MAX_ASSIGNMENTS:
+    assignments = math.prod(math.comb(m + num_phases - 1, num_phases - 1)
+                            for m in sizes)
+    ops = k * assignments * (k - 1) * k * math.prod(sizes)
+    if assignments > _MAX_ASSIGNMENTS or ops > _MAX_KERNEL_OPS:
         raise GuardError(
-            f"{total_assignments} phase assignments exceed the guard",
-            {"assignments": total_assignments, "guard": _MAX_ASSIGNMENTS})
+            f"{assignments} phase assignments, whose witnesses would take "
+            f"{ops} link products, exceed the guard (budgets "
+            f"{_MAX_ASSIGNMENTS:.2g} and {_MAX_KERNEL_OPS:.2g})",
+            {"assignments": assignments, "guard": _MAX_ASSIGNMENTS,
+             "predicted_ops": ops, "max_kernel_ops": _MAX_KERNEL_OPS})
     h = complete_cylinder(sizes)
     n = h.n
     zeta = cmath.exp(2j * cmath.pi / num_phases) if num_phases > 1 else 1.0

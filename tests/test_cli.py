@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from hypergraph_spectra import repro
+from hypergraph_spectra import cli, repro, spectral
 from hypergraph_spectra.cli import main, parse_family
 from hypergraph_spectra.hypergraphs import (
     complete,
@@ -164,6 +164,30 @@ def test_spectrum_json(capsys):
     assert lines[0] == "+0.000000000+0.000000000i  residual 0.00e+00  [0]"
     assert lines[1].startswith("+1.000000000-0.000000000i  residual ")
     assert lines[1].endswith("  [rot0 of (-1,-1,-1)^(2/3)]")
+
+
+def test_spectrum_guard_refuses_a_cylinder_before_building_it(capsys,
+                                                              monkeypatch):
+    # [40]*5 has 1.0e8 edges and too many phase assignments; [1,700,700]
+    # few enough assignments but 8.7e12 link products in its witness checks
+    built = []
+    for module in (cli, spectral):
+        monkeypatch.setattr(module, "complete_cylinder", built.append)
+    for parts in ("40,40,40,40,40", "1,700,700"):
+        code, out, err = run(capsys, "spectrum", "--family",
+                             f"cylinder:parts={parts}")
+        assert code == 1 and out == ""
+        assert "exceed the guard" in err and '"predicted_ops"' in err
+    assert built == []
+    # bad parameters keep their messages
+    for spec, message in (("cylinder:parts=2,0", "not all positive integers"),
+                          ("cylinder:parts=2,x", "invalid literal"),
+                          ("cylinder:parts=2,2,spin=up", "unused family"),
+                          ("cylinder", "needs parts="),
+                          ("moebius:n=3", "unknown family")):
+        code, out, err = run(capsys, "spectrum", "--family", spec)
+        assert code == 1 and message in err, spec
+    assert built == []
 
 
 def test_lambda_max_json(capsys):

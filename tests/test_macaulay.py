@@ -31,7 +31,11 @@ from hypergraph_spectra.macaulay import (
     predicted_coefficient_bits,
 )
 from hypergraph_spectra.polynomials import UniPoly
-from hypergraph_spectra.traces import int_determinant, schur_coefficients
+from hypergraph_spectra.traces import (
+    generalized_trace,
+    int_determinant,
+    schur_coefficients,
+)
 
 
 def _charpoly_by_permanent_expansion(h):
@@ -529,6 +533,41 @@ def test_charpoly_codegree_closed_forms_random():
         k, n = 3, 4
         want = -(k ** (k - 2)) * (k - 1) ** (n - k) * len(edges)
         assert phi.coeff_at_codegree(3) == want
+
+
+def _block_power_sums(net, count):
+    """sum of e * tr(B^d) over the distinct blocks B, of net exponents e,
+    for d = 0..count, in exact integers."""
+    sums = [0] * (count + 1)
+    for pattern, e in net.items():
+        block = macaulay._dense(pattern)
+        power = np.eye(len(block), dtype=np.int64)
+        for d in range(count + 1):
+            sums[d] += e * int(np.trace(power))
+            power = power @ block
+    return sums
+
+
+def test_block_power_sums_are_phis():
+    # phi is the product of the distinct blocks' charpolys to their net
+    # exponents, so its power sums are the blocks' e * tr(B^d), summed:
+    # checked against phi by Newton's identities for d <= 6 and against the
+    # generalized traces, which build no matrix, for d <= 4
+    rng = random.Random(61)
+    for _ in range(21):
+        k = rng.choice((2, 3))
+        n = rng.randint(k + 1, 5)
+        pool = list(itertools.combinations(range(n), k))
+        h = Hypergraph(n, k, rng.sample(pool, rng.randint(1, len(pool))))
+        while len(h.components()) > 1:
+            h = Hypergraph(n, k, h.edges + (rng.choice(pool),))
+        net, _ = macaulay._split(h)
+        sums = _block_power_sums(net, 6)
+        phi = charpoly(h).phi
+        assert sums[0] == phi.degree
+        assert schur_coefficients(sums[1:]) == [
+            phi.coeff_at_codegree(d) for d in range(1, 7)]
+        assert sums[:5] == [generalized_trace(h, d) for d in range(5)]
 
 
 def _blocks(h):

@@ -168,6 +168,31 @@ def test_lambda_max_verifies_once(monkeypatch):
     assert rep.residual == real(h, rep.value, rep.vector)
 
 
+def test_lambda_max_iterates_only_components_with_edges(monkeypatch):
+    # isolated vertices 0, 5 and 9 around complete(4,3) and a 3-edge: an
+    # edgeless component has only the eigenvalue 0 and is never iterated
+    calls = []
+    real = spectral._lambda_max_connected
+
+    def recorded(h, arrays, tol, max_iter):
+        calls.append((h.n, h.num_edges))
+        return real(h, arrays, tol, max_iter)
+
+    monkeypatch.setattr(spectral, "_lambda_max_connected", recorded)
+    clique = [tuple(e) for e in itertools.combinations(range(1, 5), 3)]
+    rep = lambda_max(Hypergraph(10, 3, clique + [(6, 7, 8)]))
+    assert calls == [(4, 4), (3, 1)]
+    # the report is the winning component's, padded with zeros, with the
+    # iterations summed over the components with edges
+    won, edge = lambda_max(complete(4, 3)), lambda_max(single_edge(3))
+    assert rep == spectral.LambdaMaxReport(
+        won.value, (0.0,) + won.vector + (0.0,) * 5, won.lower, won.upper,
+        won.iterations + edge.iterations, True, won.residual)
+    # of two equal midpoints, the first component's wins
+    twice = lambda_max(disjoint_union(complete(4, 3), complete(4, 3)))
+    assert twice.vector == won.vector + (0.0,) * 4
+
+
 def _random_connected(rng, n, k):
     """A seeded random connected k-graph on n vertices with 2n edges: the
     windows of k consecutive vertices, then random edges."""
@@ -570,9 +595,43 @@ def test_cylinder_spectrum_descriptions_keep_their_order():
         f"rot{t} of ({','.join(m)})^(3/4)" for m in sums for t in range(4))
 
 
-def test_cylinder_spectrum_guard():
-    with pytest.raises(GuardError):
-        cylinder_spectrum([40, 40, 40, 40, 40])
+class _Admitted(Exception):
+    pass
+
+
+def test_cylinder_spectrum_guard(monkeypatch):
+    # it prices the phase assignments and the witness checks, k values an
+    # assignment, each on (k-1)*k*m link products, before building anything
+    def admitted(sizes):
+        raise _Admitted
+
+    monkeypatch.setattr(spectral, "complete_cylinder", admitted)
+    # prices past double precision are named, not converted to floats
+    for parts in ([40, 40, 40, 40, 40], [2] * 200):
+        with pytest.raises(GuardError):
+            cylinder_spectrum(parts)
+    with pytest.raises(GuardError) as refused:
+        cylinder_spectrum([1, 700, 700])  # 982802 assignments, 490000 edges
+    est = refused.value.estimate
+    assert est["predicted_ops"] == 3 * 982802 * 2 * 3 * 490000
+    assert est["predicted_ops"] > est["max_kernel_ops"]
+    assert est["assignments"] <= est["guard"]
+    # the assignments cap still bounds the enumeration itself: 10 edges
+    with pytest.raises(GuardError) as refused:
+        cylinder_spectrum([1, 1, 1, 1, 1, 10])
+    est = refused.value.estimate
+    assert est["assignments"] == 5 ** 5 * math.comb(14, 4) > est["guard"]
+    assert est["predicted_ops"] <= est["max_kernel_ops"]
+    # every cylinder the claims, tests and CI use, and [1,60,60], passes
+    for parts in ([1, 1], [1, 5], [2, 3], [2, 7], [3, 3], [1, 1, 1],
+                  [1, 1, 2], [1, 1, 30], [1, 2, 3], [2, 2, 2], [2, 2, 3],
+                  [1, 3, 3], [2, 2, 2, 2], [2, 3, 4, 5], [1, 60, 60]):
+        with pytest.raises(_Admitted):
+            cylinder_spectrum(parts)
+    monkeypatch.setattr(spectral, "_MAX_KERNEL_OPS", 10 ** 8)
+    with pytest.raises(GuardError) as refused:
+        cylinder_spectrum([2, 3, 4, 5])
+    assert refused.value.estimate["predicted_ops"] == 4 * 18900 * 3 * 4 * 120
 
 
 def test_cylinder_rejects_non_integral_part_sizes(monkeypatch):
