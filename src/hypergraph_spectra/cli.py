@@ -1,5 +1,9 @@
 """Command-line front end.
 
+A ``--family`` spec names a row of _FAMILIES: its builder, the builder's
+parameters in order, and an edge count by which a family is priced before
+it is built.  Each command parses its spec once.
+
 Exit codes: 0 success, 1 usage or input error, 2 verification or
 reproduction mismatch.  Results go to stdout; timing summaries go to stderr
 so that output bytes stay deterministic for fixed inputs and flags.
@@ -9,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from .errors import GuardError
@@ -22,7 +27,7 @@ from .hypergraphs import (
     to_edge_list,
     ultracube,
 )
-from .macaulay import charpoly
+from .macaulay import _MAX_BYTES, charpoly
 from .spectral import (
     complete3_spectrum,
     cylinder_spectrum,
@@ -62,7 +67,9 @@ def _family_name_params(spec: str):
         if "=" in tok:
             key, _, val = tok.partition("=")
             key = key.strip().lower()
-            params.setdefault(key, []).append(val.strip())
+            if key in params:
+                raise ValueError(f"family parameter {key} given twice")
+            params[key] = [val.strip()]
         elif key is None:
             raise ValueError(f"family parameter {tok!r} is not key=value")
         else:
@@ -70,49 +77,76 @@ def _family_name_params(spec: str):
     return name, params
 
 
+# name -> (builder, its parameters in order, its edge count).  An edge count
+# is 0 for parameters its builder refuses, so that the builder's message
+# stands.
+_FAMILIES = {
+    "single-edge": (single_edge, ("k",), lambda k: 1),
+    "complete": (complete, ("n", "k"),
+                 lambda n, k: math.comb(n, k) if 2 <= k <= n else 0),
+    "cylinder": (complete_cylinder, ("parts",),
+                 lambda parts: math.prod(parts)
+                 if len(parts) > 1 and min(parts) > 0 else 0),
+    "ultracube": (ultracube, ("k", "d"),
+                  lambda k, d: d * k ** (d - 1) if k > 1 and d > 0 else 0),
+    "tetra-minus-face": (tetra_minus_face, (), lambda: 3),
+}
+
+# Peak bytes per edge while a family is built, measured with tracemalloc:
+# 234 for complete(60,3), 281 for cylinder [10]*5, 407 for complete(18,9),
+# 504 for ultracube(3,9) and 1161 for ultracube(10,4), whose intermediate
+# products stay alive while the next one is built.  Families with many
+# vertices an edge peak higher: ultracube(20,3) at 2407, one 10000-edge at
+# 2.07 MB.
+_EDGE_BYTES = 1200
+
+
 def _family_recipe(spec: str, default_k=None):
-    """(name, build, args) of a family spec, so that build(*args) builds
-    it: every parameter is parsed and checked, and nothing is built."""
+    """(name, args) of a family spec, so that build(*args) builds it, where
+    build is the name's _FAMILIES builder.  args follows the row's
+    parameter names: ``parts`` is a list of ints, any other parameter one
+    int, and ``k`` may come from default_k.  Nothing is built."""
     name, params = _family_name_params(spec)
-
-    def one_int(pname, default=None):
-        vals = params.pop(pname, None)
-        if vals is None:
-            if default is None:
-                raise ValueError(f"family {name!r} needs {pname}=")
-            return default
-        if len(vals) != 1:
-            raise ValueError(f"family parameter {pname} given twice")
-        return int(vals[0])
-
-    if name == "single-edge":
-        recipe = single_edge, (one_int("k", default_k),)
-    elif name == "complete":
-        recipe = complete, (one_int("n"), one_int("k", default_k))
-    elif name == "cylinder":
-        vals = params.pop("parts", None)
-        if not vals:
-            raise ValueError("family 'cylinder' needs parts=")
-        recipe = complete_cylinder, ([int(v) for v in vals],)
-    elif name == "ultracube":
-        recipe = ultracube, (one_int("k", default_k), one_int("d"))
-    elif name == "tetra-minus-face":
-        recipe = tetra_minus_face, ()
-    else:
+    if name not in _FAMILIES:
         raise ValueError(f"unknown family {name!r}")
+    args = []
+    for pname in _FAMILIES[name][1]:
+        vals = params.pop(pname, None)
+        if vals is None and pname == "k" and default_k is not None:
+            args.append(default_k)
+        elif vals is None:
+            raise ValueError(f"family {name!r} needs {pname}=")
+        elif pname == "parts":
+            args.append([int(v) for v in vals])
+        elif len(vals) != 1:
+            raise ValueError(f"family parameter {pname} takes one value")
+        else:
+            args.append(int(vals[0]))
     if params:
         extra = ", ".join(sorted(params))
         raise ValueError(f"unused family parameters: {extra}")
-    return name, *recipe
+    return name, args
+
+
+def _build_family(name: str, args) -> Hypergraph:
+    """The family built from _family_recipe's (name, args); GuardError
+    refuses, before it is built, one whose edges are predicted to take more
+    than _MAX_BYTES."""
+    build, _, count = _FAMILIES[name]
+    edges = count(*args)
+    nbytes = edges * _EDGE_BYTES
+    if nbytes > _MAX_BYTES:
+        raise GuardError(
+            f"family {name!r} has {edges} edges, which would take "
+            f"{nbytes >> 20} MiB (budget {_MAX_BYTES >> 20} MiB)",
+            {"edges": edges, "predicted_bytes": nbytes,
+             "max_bytes": _MAX_BYTES})
+    return build(*args)
 
 
 def parse_family(spec: str, default_k=None) -> Hypergraph:
     """Build a named family from a spec like ``complete:n=4,k=3``."""
-    name, build, args = _family_recipe(spec, default_k)
-    try:
-        return build(*args)
-    except TypeError as exc:
-        raise ValueError(f"bad parameters for family {name!r}: {exc}")
+    return _build_family(*_family_recipe(spec, default_k))
 
 
 def _load(ns) -> Hypergraph:
@@ -141,9 +175,10 @@ def _parse_complex(text: str) -> complex:
         raise ValueError(f"cannot parse complex number {text!r}")
 
 
-def _add_input_flags(p):
-    p.add_argument("--file", help="edge-list file")
-    p.add_argument("--family",
+def _add_input_flags(p, family_only=False):
+    if not family_only:
+        p.add_argument("--file", help="edge-list file")
+    p.add_argument("--family", required=family_only,
                    help="family spec, e.g. complete:n=4,k=3 or "
                         "cylinder:parts=2,3 or ultracube:k=3,d=2")
     p.add_argument("--k", type=int, help="default uniformity for --family")
@@ -214,21 +249,16 @@ def _cmd_traces(ns) -> int:
 
 
 def _cmd_spectrum(ns) -> int:
-    if not ns.family:
-        raise ValueError("spectrum needs --family")
-    name, build, args = _family_recipe(ns.family, ns.k)
+    name, args = _family_recipe(ns.family, ns.k)
     if name == "cylinder":
-        # its guard runs before the cylinder is built
         spec = cylinder_spectrum(*args)
+    elif name == "single-edge":
+        spec = cylinder_spectrum([1] * args[0])
+    elif name == "complete" and args[1] == 3:
+        spec = complete3_spectrum(args[0])
     else:
-        h = build(*args)
-        if name == "complete" and h.k == 3:
-            spec = complete3_spectrum(h.n)
-        elif name == "single-edge":
-            spec = cylinder_spectrum([1] * h.k)
-        else:
-            raise ValueError(
-                "spectrum supports complete (k=3), cylinder, and single-edge")
+        raise ValueError(
+            "spectrum supports complete (k=3), cylinder, and single-edge")
     if ns.format == "json":
         _emit_json({
             "family": spec.family,
@@ -305,10 +335,8 @@ def _cmd_verify(ns) -> int:
 
 
 def _cmd_family(ns) -> int:
-    if not ns.family:
-        raise ValueError("family command needs --family")
-    name, params = _family_name_params(ns.family)
-    h = parse_family(ns.family, default_k=ns.k)
+    name, args = _family_recipe(ns.family, ns.k)
+    h = _build_family(name, args)
     dmin, davg, dmax = h.degrees()
     payload = {
         "family": ns.family, "n": h.n, "k": h.k,
@@ -318,12 +346,10 @@ def _cmd_family(ns) -> int:
     }
     if name == "single-edge":
         payload["charpoly"] = str(single_edge_charpoly(h.k))
-    if name == "ultracube" and h.k > 2:
-        d = int(params["d"][0])
-        if d > 1:
-            pair = ultracube_sporadic(h.k, d)
-            payload["sporadic_value"] = pair.value.real
-            payload["sporadic_residual"] = pair.residual
+    if name == "ultracube" and args[0] > 2 and args[1] > 1:
+        pair = ultracube_sporadic(*args)
+        payload["sporadic_value"] = pair.value.real
+        payload["sporadic_residual"] = pair.residual
     if ns.format == "json":
         _emit_json(payload)
     else:
@@ -378,7 +404,7 @@ def _build_parser() -> _Parser:
     p.set_defaults(fn=_cmd_traces)
 
     p = sub.add_parser("spectrum", help="closed-form family spectra")
-    _add_input_flags(p)
+    _add_input_flags(p, family_only=True)
     p.set_defaults(fn=_cmd_spectrum)
 
     p = sub.add_parser("lambda-max", help="largest eigenvalue with bounds")
@@ -405,7 +431,7 @@ def _build_parser() -> _Parser:
     p.set_defaults(fn=_cmd_verify)
 
     p = sub.add_parser("family", help="summary of a named family")
-    _add_input_flags(p)
+    _add_input_flags(p, family_only=True)
     p.set_defaults(fn=_cmd_family)
 
     p = sub.add_parser("repro", help="run the reproduction claim table")

@@ -39,6 +39,47 @@ def test_parse_family_rejects_garbage():
         parse_family("complete:n=4,k=3,spin=up")
     with pytest.raises(ValueError):
         parse_family("cylinder:2,3")
+    with pytest.raises(ValueError, match="parameter n takes one value"):
+        parse_family("complete:n=4,5,k=3")
+    with pytest.raises(ValueError, match="parameter n given twice"):
+        parse_family("complete:n=4,n=5,k=3")
+
+
+def _replace_builders(monkeypatch, build):
+    """Point every _FAMILIES row at build, keeping its parameters and
+    count."""
+    for name, (_, pnames, count) in list(cli._FAMILIES.items()):
+        monkeypatch.setitem(cli._FAMILIES, name, (build, pnames, count))
+
+
+def test_family_price_refuses_before_building(capsys, monkeypatch):
+    # a count over the budget must not hide a builder's message
+    for spec, message in (("complete:n=4,k=-1", "non-negative"),
+                          ("complete:n=1000000,k=1", "at least 2"),
+                          ("ultracube:k=3,d=0", "dimension"),
+                          ("ultracube:k=-3,d=21", "at least 2"),
+                          ("cylinder:parts=2,0", "not all positive"),
+                          ("cylinder:parts=-40,40,40,40,-40",
+                           "not all positive"),
+                          ("cylinder:parts=1000000000", "two parts")):
+        with pytest.raises(ValueError, match=message):
+            parse_family(spec)
+    # 40,40,40,40,40 has 1.0e8 edges, about 30 GB once built
+    built = []
+    _replace_builders(monkeypatch, lambda *a: built.append(a))
+    spec = "cylinder:parts=40,40,40,40,40"
+    for args in (("gen",), ("charpoly",), ("coeffs",), ("traces",),
+                 ("lambda-max",), ("bounds",), ("color",), ("family",),
+                 ("verify", "--value", "1", "--vector", "1")):
+        code, out, err = run(capsys, *args, "--family", spec)
+        assert code == 1 and out == "", args
+        message, estimate = err.splitlines()
+        assert message == ("error: family 'cylinder' has 102400000 edges, "
+                           "which would take 117187 MiB (budget 1024 MiB)")
+        estimate = json.loads(estimate)
+        assert estimate["edges"] == 40 ** 5
+        assert estimate["predicted_bytes"] > estimate["max_bytes"]
+    assert built == []
 
 
 def test_gen_round_trip(capsys, tmp_path):
@@ -171,8 +212,8 @@ def test_spectrum_guard_refuses_a_cylinder_before_building_it(capsys,
     # [40]*5 has 1.0e8 edges and too many phase assignments; [1,700,700]
     # few enough assignments but 8.7e12 link products in its witness checks
     built = []
-    for module in (cli, spectral):
-        monkeypatch.setattr(module, "complete_cylinder", built.append)
+    monkeypatch.setattr(spectral, "complete_cylinder", built.append)
+    _replace_builders(monkeypatch, lambda *a: built.append(a))
     for parts in ("40,40,40,40,40", "1,700,700"):
         code, out, err = run(capsys, "spectrum", "--family",
                              f"cylinder:parts={parts}")
@@ -188,6 +229,38 @@ def test_spectrum_guard_refuses_a_cylinder_before_building_it(capsys,
         code, out, err = run(capsys, "spectrum", "--family", spec)
         assert code == 1 and message in err, spec
     assert built == []
+    # other families are refused before anything is built: complete(30,5)
+    # has 142506 edges, ultracube(3,9) 59049
+    for spec in ("complete:n=30,k=5", "ultracube:k=3,d=9",
+                 "tetra-minus-face"):
+        code, out, err = run(capsys, "spectrum", "--family", spec)
+        assert code == 1 and out == "", spec
+        assert err == ("error: spectrum supports complete (k=3), cylinder, "
+                       "and single-edge\n")
+    assert built == []
+
+
+def test_spectrum_builds_complete_once(capsys, monkeypatch):
+    built = []
+
+    def counted(n, k):
+        built.append((n, k))
+        return complete(n, k)
+
+    monkeypatch.setattr(spectral, "complete", counted)
+    _replace_builders(monkeypatch, counted)
+    code, out, _ = run(capsys, "spectrum", "--family", "complete:n=5,k=3")
+    assert code == 0 and built == [(5, 3)]
+    assert [(line.split("  residual ")[0], line.split("  ")[-1])
+            for line in out.splitlines()] == [
+        ("+6.000000000+0.000000000i", "[C(4,2)]"),
+        ("+1.000000000+0.000000000i", "[1]"),
+        ("+0.000000000+0.000000000i", "[0]"),
+        ("+0.000000000+3.000000000i", "[t=1, c=-1+1i]"),
+        ("+0.000000000-3.000000000i", "[t=1, c=-1-1i]"),
+        ("-0.607353218+0.000000000i", "[t=2, c=-3.54682]"),
+        ("-1.696323391+1.435949864i", "[t=2, c=-0.726591+0.563821i]"),
+        ("-1.696323391-1.435949864i", "[t=2, c=-0.726591-0.563821i]")]
 
 
 def test_lambda_max_json(capsys):
@@ -295,6 +368,14 @@ def test_usage_errors(capsys):
     code, _, err = run(capsys, "charpoly", "--family", "complete:n=4,k=3",
                        "--file", "x.hg")
     assert code == 1 and "not both" in err
+    for command in ("spectrum", "family"):
+        code, out, err = run(capsys, command, "--family", "single-edge:k=3",
+                             "--file", "x.hg")
+        assert code == 1 and out == ""
+        assert "unrecognized arguments: --file" in err
+        code, out, err = run(capsys, command)
+        assert code == 1 and out == ""
+        assert "arguments are required: --family" in err
     code, _, err = run(capsys, "lambda-max", "--family", "single-edge",
                        "--k", "3", "--tol", "0")
     assert code == 1 and "positive" in err

@@ -270,6 +270,27 @@ def test_lambda_max_encloses_slow_mixing_inputs():
         assert rep.lower <= fine.value <= rep.upper
 
 
+def test_lambda_max_encloses_hypertree_closed_forms():
+    # Zhang, Kang, Shan and Bai (Linear Algebra Appl. 533, 2017): a loose
+    # path of m edges has lambda_max (4cos^2(pi/(m+2)))^(1/k), and m edges
+    # through one vertex m^(1/k); at m = 1 and k = 3 the path's float
+    # formula rounds 1 up
+    for k in (3, 4):
+        for m in (2, 5, 20, 50):
+            path = Hypergraph(m * (k - 1) + 1, k, [
+                tuple(range(i * (k - 1), i * (k - 1) + k)) for i in range(m)])
+            rep = lambda_max(path)
+            want = (4 * math.cos(math.pi / (m + 2)) ** 2) ** (1 / k)
+            assert rep.converged and rep.lower <= want <= rep.upper, (k, m)
+        for m in (2, 3, 7):
+            star = Hypergraph(m * (k - 1) + 1, k, [
+                (0, *range(i * (k - 1) + 1, (i + 1) * (k - 1) + 1))
+                for i in range(m)])
+            rep = lambda_max(star)
+            assert rep.converged, (k, m)
+            assert rep.lower <= m ** (1 / k) <= rep.upper, (k, m)
+
+
 def test_lambda_max_iteration_counts():
     # the shift Delta/(2(k-1)) against the largest degree Delta: the random
     # 3-graph of the CI's lambda-max step took 72 iterations under Delta
